@@ -115,11 +115,11 @@ pub struct ChipCheckpoint {
     /// at capture time. Restore re-primes the cache only when this is set,
     /// so a chip that would have compiled fresh still compiles fresh.
     pub plan_cache_valid: bool,
-    /// The pass configuration of the cached **optimized** plan at capture
-    /// time, if one was cached. Restore re-lowers it silently alongside the
-    /// unoptimized tape so the first post-restore optimized run is a cache
-    /// hit, keeping [`PlanStats`] and the obs journal bit-identical to the
-    /// uninterrupted run.
+    /// The pass configuration of the cached tape at capture time, if it
+    /// was pass-optimized (`None` for the `PassConfig::none()` tape).
+    /// Restore re-lowers the same tape silently so the first post-restore
+    /// run is a cache hit, keeping [`PlanStats`] and the obs journal
+    /// bit-identical to the uninterrupted run.
     pub optimized_passes: Option<PassConfig>,
 }
 
@@ -251,12 +251,12 @@ impl AnalogChip {
         self.plan_cache.pass_log()
     }
 
-    /// Renders the committed configuration's compiled plan as a
-    /// deterministic text dump — the snapshot format the pass tests pin.
-    /// `passes.any()` selects the optimized SoA plan (lowered through the
-    /// requested pipeline); otherwise the unoptimized tape is dumped. The
-    /// dump compiles fresh from the committed registers with no fault plan
-    /// at lifetime zero, and touches neither the plan cache nor its
+    /// Renders the committed configuration's compiled tape, lowered
+    /// through the requested pass pipeline, as a deterministic text dump —
+    /// the snapshot format the pass tests pin. [`PassConfig::none`] dumps
+    /// the bit-exact tape every unoptimized or fault-armed run executes.
+    /// The dump compiles fresh from the committed registers with no fault
+    /// plan at lifetime zero, and touches neither the plan cache nor its
     /// statistics.
     ///
     /// # Errors
@@ -279,11 +279,7 @@ impl AnalogChip {
             t_offset: 0.0,
             structure: &structure,
         };
-        Ok(if passes.any() {
-            crate::ir::lower_optimized(&circuit, passes).dump()
-        } else {
-            crate::plan::CompiledPlan::lower(&circuit).dump()
-        })
+        Ok(crate::ir::lower_tape(&circuit, passes).dump())
     }
 
     /// Whether `init` (calibration) has run.
@@ -1016,8 +1012,6 @@ impl AnalogChip {
                 &self.config,
                 &self.variation,
                 &self.input_signals,
-                self.fault_plan.as_ref(),
-                self.lifetime_s,
                 self.plan_epoch,
                 state.plan_stats,
                 state.optimized_passes,

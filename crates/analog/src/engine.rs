@@ -8,6 +8,13 @@
 //! per-block clipping, overflow-exception latching, and dynamic-range
 //! tracking — the behaviours the paper's architecture (§III-B) is built
 //! around.
+//!
+//! Every run goes through one RK4 loop over K lockstep lanes; a sequential
+//! `exec` is the one-lane case. Under [`EvalStrategy::Compiled`] the lanes
+//! sweep the IR tape ([`crate::ir`]), lowered once per committed netlist
+//! and pass config and cached in a [`PlanCache`]. Under
+//! [`EvalStrategy::Reference`] each lane runs the tree-walking circuit, the
+//! behavioural oracle the compiled tape is tested against bit for bit.
 
 use std::collections::BTreeMap;
 
@@ -16,6 +23,7 @@ use crate::config::ChipConfig;
 use crate::error::AnalogError;
 use crate::exceptions::ExceptionVector;
 use crate::fault::FaultPlan;
+use crate::ir::{lower_tape, Tape, TapeRun};
 use crate::lut::LookupTable;
 use crate::netlist::{output_port_count, InputPort, OutputPort};
 use crate::nonideal::ProcessVariation;
@@ -24,15 +32,15 @@ use crate::units::UnitId;
 
 /// Which circuit evaluator drives the RK4 inner loop.
 ///
-/// Both strategies produce **bit-identical** results (asserted by the
-/// differential property tests); they differ only in speed. The compiled
-/// path lowers the netlist once per run into flat arrays
-/// ([`crate::plan::CompiledPlan`]), removing every map lookup from the hot
-/// loop; the reference path walks the original `BTreeMap`-based structures
-/// and is kept as the behavioural oracle.
+/// Both strategies produce **bit-identical** results under
+/// [`PassConfig::none`] (asserted by the differential property tests); they
+/// differ only in speed. The compiled path lowers the netlist into the IR
+/// tape ([`crate::ir`]), removing every map lookup from the hot loop; the
+/// reference path walks the original `BTreeMap`-based structures and is
+/// kept as the behavioural oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Flat-array compiled plan — the fast default.
+    /// Flat-array compiled tape — the fast default.
     #[default]
     Compiled,
     /// Tree-walking interpreter retained for differential testing.
@@ -60,13 +68,12 @@ pub struct EngineOptions {
     pub stop_on_exception: bool,
     /// Which evaluator runs the circuit (identical results either way).
     pub eval_strategy: EvalStrategy,
-    /// Optimization passes applied when lowering the committed netlist
-    /// ([`crate::passes`]). The default, [`PassConfig::none`], keeps every
-    /// run on the bit-exact unoptimized tape; any enabled pass routes
-    /// fault-free [`EvalStrategy::Compiled`] runs through the optimized
-    /// structure-of-arrays tape under the documented tolerance contract.
-    /// Runs with an armed fault plan always fall back to the unoptimized
-    /// tape, whatever this is set to.
+    /// Optimization passes applied when lowering the committed netlist into
+    /// the [`EvalStrategy::Compiled`] tape ([`crate::passes`]). The
+    /// default, [`PassConfig::none`], lowers the bit-exact tape; any
+    /// enabled pass optimizes it under the documented tolerance contract.
+    /// Runs with an armed fault plan always lower under
+    /// [`PassConfig::none`], whatever this is set to.
     pub passes: PassConfig,
 }
 
@@ -166,8 +173,9 @@ pub(crate) struct Structure {
 
 /// The compiled dataflow program — the tree-walking **reference**
 /// representation, binding per-run register/fault/signal state to a
-/// (possibly cached) [`Structure`]. [`crate::plan::CompiledPlan::lower`]
-/// flattens it into the map-free fast path.
+/// (possibly cached) [`Structure`]. [`crate::ir::lower_tape`] flattens it
+/// into the map-free compiled tape.
+#[derive(Clone, Copy)]
 pub(crate) struct Compiled<'a> {
     pub(crate) config: &'a ChipConfig,
     pub(crate) variation: &'a ProcessVariation,
@@ -182,26 +190,19 @@ pub(crate) struct Compiled<'a> {
     pub(crate) structure: &'a Structure,
 }
 
-/// Per-eval scratch and accumulated run observations.
+/// Per-eval scratch and accumulated run observations, lane-expanded
+/// column-major (`[slot * k + lane]`) so an eval sweeps the lanes of one
+/// slot contiguously. A one-lane run is `k = 1`.
 pub(crate) struct Tracker {
     pub(crate) values: Vec<f64>,
     pub(crate) max_abs: Vec<f64>,
     pub(crate) clipped: Vec<bool>,
 }
 
-/// The K-lane variant of [`Tracker`]: the same three arrays, lane-expanded
-/// column-major (`[slot * k + lane]`) so a batched eval sweeps the lanes of
-/// one slot contiguously.
-pub(crate) struct BatchTracker {
-    pub(crate) values: Vec<f64>,
-    pub(crate) max_abs: Vec<f64>,
-    pub(crate) clipped: Vec<bool>,
-}
-
 /// Per-lane register overrides for one lane of a batched execution —
-/// exactly the per-run state a [`crate::plan::PlanRun`] snapshots without
-/// invalidating the plan cache: DAC constants (the RHS) and integrator
-/// initial conditions. `None` means "use the committed registers".
+/// exactly the per-run state a compiled tape leaves unbaked, so lanes share
+/// one cached compilation: DAC constants (the RHS) and integrator initial
+/// conditions. `None` means "use the committed registers".
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaneBindings {
     /// Full replacement DAC register map for this lane.
@@ -210,38 +211,20 @@ pub struct LaneBindings {
     pub int_initial: Option<BTreeMap<usize, f64>>,
 }
 
-/// A circuit evaluator usable by the RK4 loop: writes state derivatives into
-/// `du` and (when `track` is set) records range usage and clip events.
-pub(crate) trait Evaluator {
-    fn eval_circuit(
-        &self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut Tracker,
-        track: bool,
-    );
-
-    /// Minimum slot-buffer length this evaluator writes. The run loop
-    /// sizes its tracker to the larger of this and the circuit's slot
-    /// count; only the pass-optimized tape ever needs more (scratch slots
-    /// appended by `normalize_gains`).
-    fn min_slots(&self) -> usize {
-        0
-    }
-}
-
-/// A K-lane circuit evaluator usable by the lockstep batched RK4 loop:
-/// advances every **active** lane's derivatives at once over column-major
-/// (`[index * k + lane]`) state/tracker arrays. Implemented by the
-/// unoptimized [`crate::plan::BatchRun`] and the pass-optimized
-/// [`crate::ir::OptBatchRun`].
+/// A K-lane circuit evaluator usable by the lockstep RK4 loop: advances
+/// every **active** lane's derivatives at once over column-major
+/// (`[index * k + lane]`) state/tracker arrays, and (when `track` is set)
+/// records range usage and clip events. Implemented by the compiled
+/// [`crate::ir::TapeRun`] and, one lane at a time, by the reference
+/// [`Compiled`] circuit.
 pub(crate) trait LaneEvaluator {
-    /// Number of lanes bound to the batch.
+    /// Number of lanes bound to the run.
     fn lanes(&self) -> usize;
 
-    /// Minimum slot-buffer length this evaluator writes per lane (see
-    /// [`Evaluator::min_slots`]).
+    /// Minimum slot-buffer length this evaluator writes per lane. The run
+    /// loop sizes its tracker to the larger of this and the circuit's slot
+    /// count; only the pass-optimized tape ever needs more (scratch slots
+    /// appended by `normalize_gains`).
     fn min_slots(&self) -> usize {
         0
     }
@@ -255,20 +238,27 @@ pub(crate) trait LaneEvaluator {
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
         active: &[bool],
     );
 }
 
-impl Evaluator for Compiled<'_> {
-    fn eval_circuit(
-        &self,
+/// The reference circuit is a one-lane evaluator. The loop only evaluates
+/// while some lane is live, so the single lane is always active here.
+impl LaneEvaluator for Compiled<'_> {
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    fn eval_lanes(
+        &mut self,
         t: f64,
         state: &[f64],
         du: &mut [f64],
         tracker: &mut Tracker,
         track: bool,
+        _active: &[bool],
     ) {
         self.eval(t, state, du, tracker, track);
     }
@@ -522,17 +512,18 @@ impl Compiled<'_> {
 
 /// Cumulative counts of compilation work done through a [`PlanCache`] —
 /// the observable proof that repeated runs of an unchanged netlist reuse
-/// one lowered plan instead of re-lowering per run.
+/// one lowered tape instead of re-lowering per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
     /// Netlist skeletons built ([`Structure`] compilations).
     pub structures_built: u64,
-    /// Compiled plans lowered (only on the [`EvalStrategy::Compiled`] path).
+    /// Bit-exact tapes lowered under [`PassConfig::none`] (only on the
+    /// [`EvalStrategy::Compiled`] path).
     pub plans_lowered: u64,
     /// Runs that reused a cached structure without recompiling.
     pub cache_hits: u64,
-    /// Pass-optimized plans lowered (only when [`EngineOptions::passes`]
-    /// enables at least one pass).
+    /// Pass-optimized tapes lowered (only when the run's effective pass
+    /// config enables at least one pass).
     pub optimized_lowered: u64,
     /// Stores per eval before the pass pipeline, from the most recent
     /// optimized lowering (zero while none has happened).
@@ -555,10 +546,9 @@ pub struct PlanStats {
 pub(crate) struct PlanCache {
     epoch: u64,
     structure: Option<Structure>,
-    plan: Option<crate::plan::CompiledPlan>,
-    /// Pass-optimized plan, keyed by the [`PassConfig`] it was lowered
-    /// under: a run requesting a different config re-lowers and replaces it.
-    opt: Option<(PassConfig, crate::ir::OptimizedPlan)>,
+    /// The lowered tape, keyed by the [`PassConfig`] it was lowered under:
+    /// a run whose effective config differs re-lowers and replaces it.
+    tape: Option<(PassConfig, Tape)>,
     stats: PlanStats,
 }
 
@@ -567,19 +557,22 @@ impl PlanCache {
         self.stats
     }
 
-    /// The pass config of the cached optimized plan, if one is cached.
+    /// The pass config of the cached tape, if it is pass-optimized.
     /// Checkpoint capture records this so restore can rebuild the same
     /// cache contents without emitting lowering counters.
     pub(crate) fn optimized_config(&self) -> Option<PassConfig> {
-        self.opt.as_ref().map(|(cfg, _)| *cfg)
+        self.tape
+            .as_ref()
+            .map(|(cfg, _)| *cfg)
+            .filter(PassConfig::any)
     }
 
-    /// Per-pass statistics from the cached optimized plan's lowering
-    /// (empty when no optimized plan is cached).
+    /// Per-pass statistics from the cached tape's lowering (empty when no
+    /// tape is cached or it was lowered under [`PassConfig::none`]).
     pub(crate) fn pass_log(&self) -> Vec<crate::passes::PassStat> {
-        self.opt
+        self.tape
             .as_ref()
-            .map(|(_, plan)| plan.pass_log.clone())
+            .map(|(_, tape)| tape.pass_log.clone())
             .unwrap_or_default()
     }
 
@@ -600,6 +593,8 @@ impl PlanCache {
     /// counters and counting none of the work. Used when restoring a chip
     /// from a checkpoint: the first post-restore `exec` must be a cache
     /// hit, exactly as it would have been in the uninterrupted run.
+    /// `optimized_passes` names the pass-optimized tape the captured cache
+    /// held; `None` re-primes the bit-exact tape.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn prime(
         &mut self,
@@ -607,80 +602,100 @@ impl PlanCache {
         config: &ChipConfig,
         variation: &ProcessVariation,
         signals: &BTreeMap<usize, InputSignal>,
-        faults: Option<&FaultPlan>,
-        t_offset: f64,
         epoch: u64,
         stats: PlanStats,
         optimized_passes: Option<PassConfig>,
     ) -> Result<(), AnalogError> {
         let structure = Structure::build(registers, config)?;
-        let (plan, opt) = {
-            let circuit = Compiled {
+        let passes = optimized_passes.unwrap_or_default();
+        let tape = lower_tape(
+            &Compiled {
                 config,
                 variation,
                 registers,
                 signals,
-                faults,
-                t_offset,
+                faults: None,
+                t_offset: 0.0,
                 structure: &structure,
-            };
-            let plan = crate::plan::CompiledPlan::lower(&circuit);
-            // Rebuild the optimized plan the captured cache held, silently:
-            // the first post-restore optimized exec must be a cache hit
-            // emitting no lowering counters, exactly as the uninterrupted
-            // run's would have been.
-            let opt = optimized_passes
-                .filter(|cfg| cfg.any())
-                .map(|cfg| (cfg, crate::ir::lower_optimized(&circuit, &cfg)));
-            (plan, opt)
-        };
+            },
+            &passes,
+        );
         self.structure = Some(structure);
-        self.plan = Some(plan);
-        self.opt = opt;
+        self.tape = Some((passes, tape));
         self.epoch = epoch;
         self.stats = stats;
         Ok(())
     }
+
+    /// Makes the cached structure current for `epoch`: a rebuild (dropping
+    /// any tape lowered for the old structure) on a miss, a counted hit
+    /// otherwise.
+    fn refresh(
+        &mut self,
+        registers: &Registers,
+        config: &ChipConfig,
+        epoch: u64,
+    ) -> Result<(), AnalogError> {
+        if self.is_current(epoch) {
+            self.stats.cache_hits += 1;
+            if aa_obs::is_active() {
+                aa_obs::counter("engine.plan_cache_hits", 1);
+            }
+        } else {
+            self.structure = Some(Structure::build(registers, config)?);
+            self.tape = None;
+            self.epoch = epoch;
+            self.stats.structures_built += 1;
+        }
+        Ok(())
+    }
 }
 
-/// Ensures the cache's optimized-plan slot holds a plan lowered under
-/// `passes`, re-lowering (and emitting the lowering counters inside the
-/// caller's compile span) when the slot is empty or was lowered under a
-/// different config — the pass config is part of the cache key.
-fn ensure_optimized<'c>(
-    slot: &'c mut Option<(PassConfig, crate::ir::OptimizedPlan)>,
+/// Ensures the cache's tape slot holds a tape lowered under `passes`,
+/// re-lowering (and emitting the lowering counters inside the caller's
+/// compile span) when the slot is empty or was lowered under a different
+/// config — the pass config is part of the cache key. A
+/// [`PassConfig::none`] lowering counts as a plain plan, any other as an
+/// optimized one.
+fn ensure_tape<'c>(
+    slot: &'c mut Option<(PassConfig, Tape)>,
     stats: &mut PlanStats,
     circuit: &Compiled<'_>,
-    passes: &PassConfig,
-) -> &'c crate::ir::OptimizedPlan {
-    let stale = match slot {
-        Some((cfg, _)) => cfg != passes,
-        None => true,
-    };
-    if stale {
-        let lowered = crate::ir::lower_optimized(circuit, passes);
-        stats.optimized_lowered += 1;
-        stats.ops_before = lowered.ops_before;
-        stats.ops_after = lowered.ops_after;
-        if aa_obs::is_active() {
-            aa_obs::counter("engine.plans_optimized", 1);
-            for stat in &lowered.pass_log {
-                let (before, after) = pass_counter_names(stat.pass);
-                aa_obs::counter(before, stat.ops_before);
-                aa_obs::counter(after, stat.ops_after);
+    passes: PassConfig,
+) -> &'c Tape {
+    if slot.as_ref().is_none_or(|(cfg, _)| *cfg != passes) {
+        let lowered = lower_tape(circuit, &passes);
+        if passes.any() {
+            stats.optimized_lowered += 1;
+            stats.ops_before = lowered.ops_before;
+            stats.ops_after = lowered.ops_after;
+            if aa_obs::is_active() {
+                aa_obs::counter("engine.plans_optimized", 1);
+                for stat in &lowered.pass_log {
+                    let (before, after) = pass_counter_names(stat.pass);
+                    aa_obs::counter(before, stat.ops_before);
+                    aa_obs::counter(after, stat.ops_after);
+                }
+            }
+        } else {
+            stats.plans_lowered += 1;
+            if aa_obs::is_active() {
+                aa_obs::counter("engine.plans_lowered", 1);
             }
         }
-        *slot = Some((*passes, lowered));
+        *slot = Some((passes, lowered));
     }
     &slot.as_ref().expect("ensured above").1
 }
 
-/// Whether this run takes the pass-optimized tape: at least one pass
-/// enabled, no fault plan armed (fault semantics stay bit-exact on the
-/// unoptimized tape), and the compiled strategy selected (Reference is the
-/// oracle and never optimizes).
-fn use_optimized(options: &EngineOptions, faults: Option<&FaultPlan>) -> bool {
-    options.passes.any() && faults.is_none() && options.eval_strategy == EvalStrategy::Compiled
+/// The pass config a compiled run lowers under: the requested passes, or
+/// [`PassConfig::none`] whenever a fault plan is armed — fault semantics
+/// stay bit-exact on the unit-preserving tape.
+fn effective_passes(options: &EngineOptions, faults: Option<&FaultPlan>) -> PassConfig {
+    match faults {
+        Some(_) => PassConfig::none(),
+        None => options.passes,
+    }
 }
 
 /// Runs a committed register file. Called by
@@ -700,106 +715,19 @@ pub(crate) fn run_committed(
     cache: Option<(&mut PlanCache, u64)>,
     options: &EngineOptions,
 ) -> Result<RunReport, AnalogError> {
-    if !(options.dt_tau > 0.0 && options.dt_tau.is_finite()) {
-        return Err(AnalogError::protocol(format!(
-            "engine dt_tau must be positive, got {}",
-            options.dt_tau
-        )));
-    }
-    let run_span = aa_obs::span("engine.run");
-
-    // Plan lowering sits inside the compile span so the Compiled and
-    // Reference strategies emit identical journals (the differential tests
-    // compare traces across strategies). Cache hits keep the span too: a
-    // hit and a miss differ only in counters, never in the journal.
-    let compile_span = aa_obs::span("engine.compile");
-    let use_opt = use_optimized(options, faults);
-    let report = match cache {
-        Some((cache, epoch)) => {
-            if cache.structure.is_none() || cache.epoch != epoch {
-                cache.structure = Some(Structure::build(registers, config)?);
-                cache.plan = None;
-                cache.opt = None;
-                cache.epoch = epoch;
-                cache.stats.structures_built += 1;
-            } else {
-                cache.stats.cache_hits += 1;
-                if aa_obs::is_active() {
-                    aa_obs::counter("engine.plan_cache_hits", 1);
-                }
-            }
-            let PlanCache {
-                structure,
-                plan,
-                opt,
-                stats,
-                ..
-            } = cache;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: structure.as_ref().expect("structure ensured above"),
-            };
-            // Optimized runs never lower the baseline plan (and vice
-            // versa): each tape is lowered on first demand for its config.
-            let (plan, opt) = if use_opt {
-                (
-                    None,
-                    Some(ensure_optimized(opt, stats, &circuit, &options.passes)),
-                )
-            } else {
-                let plan = match options.eval_strategy {
-                    EvalStrategy::Compiled => {
-                        if plan.is_none() {
-                            *plan = Some(crate::plan::CompiledPlan::lower(&circuit));
-                            stats.plans_lowered += 1;
-                            if aa_obs::is_active() {
-                                aa_obs::counter("engine.plans_lowered", 1);
-                            }
-                        }
-                        plan.as_ref()
-                    }
-                    EvalStrategy::Reference => None,
-                };
-                (plan, None)
-            };
-            drop(compile_span);
-            execute(&circuit, plan, opt, options)?
-        }
-        None => {
-            let structure = Structure::build(registers, config)?;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: &structure,
-            };
-            let opt = if use_opt {
-                Some(crate::ir::lower_optimized(&circuit, &options.passes))
-            } else {
-                None
-            };
-            let plan = match options.eval_strategy {
-                EvalStrategy::Compiled if !use_opt => {
-                    Some(crate::plan::CompiledPlan::lower(&circuit))
-                }
-                _ => None,
-            };
-            drop(compile_span);
-            execute(&circuit, plan.as_ref(), opt.as_ref(), options)?
-        }
-    };
-
-    observe_run(&report);
-    drop(run_span);
-    Ok(report)
+    let mut reports = run_lanes(
+        false,
+        registers,
+        config,
+        variation,
+        signals,
+        faults,
+        t_offset,
+        &[registers],
+        cache,
+        options,
+    )?;
+    Ok(reports.pop().expect("one lane in, one report out"))
 }
 
 /// The per-run observability block shared by the single-lane and batched
@@ -852,19 +780,8 @@ pub(crate) fn run_committed_batch(
     cache: Option<(&mut PlanCache, u64)>,
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
-    if !(options.dt_tau > 0.0 && options.dt_tau.is_finite()) {
-        return Err(AnalogError::protocol(format!(
-            "engine dt_tau must be positive, got {}",
-            options.dt_tau
-        )));
-    }
-    if lanes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let run_span = aa_obs::span("engine.run_batch");
-
     // Per-lane effective register files: the committed base with the lane's
-    // DAC/initial-condition overrides applied. Structure and plan are pure
+    // DAC/initial-condition overrides applied. Structure and tape are pure
     // functions of the *shared* fields, so one compilation serves them all.
     let overlays: Vec<Registers> = lanes
         .iter()
@@ -879,91 +796,110 @@ pub(crate) fn run_committed_batch(
             regs
         })
         .collect();
+    let overlays: Vec<&Registers> = overlays.iter().collect();
+    run_lanes(
+        true, registers, config, variation, signals, faults, t_offset, &overlays, cache, options,
+    )
+}
+
+/// The body shared by [`run_committed`] (one lane) and
+/// [`run_committed_batch`]: compile (or hit the cache) inside the
+/// `engine.compile` span, integrate every lane inside `engine.execute`, and
+/// account each lane exactly like a sequential run.
+///
+/// Tape lowering sits inside the compile span so the Compiled and Reference
+/// strategies emit identical journals (the differential tests compare
+/// traces across strategies). Cache hits keep the span too: a hit and a
+/// miss differ only in counters, never in the journal.
+#[allow(clippy::too_many_arguments)]
+fn run_lanes(
+    batch: bool,
+    registers: &Registers,
+    config: &ChipConfig,
+    variation: &ProcessVariation,
+    signals: &BTreeMap<usize, InputSignal>,
+    faults: Option<&FaultPlan>,
+    t_offset: f64,
+    overlays: &[&Registers],
+    cache: Option<(&mut PlanCache, u64)>,
+    options: &EngineOptions,
+) -> Result<Vec<RunReport>, AnalogError> {
+    if !(options.dt_tau > 0.0 && options.dt_tau.is_finite()) {
+        return Err(AnalogError::protocol(format!(
+            "engine dt_tau must be positive, got {}",
+            options.dt_tau
+        )));
+    }
+    if overlays.is_empty() {
+        return Ok(Vec::new());
+    }
+    let run_span = aa_obs::span(if batch {
+        "engine.run_batch"
+    } else {
+        "engine.run"
+    });
 
     let compile_span = aa_obs::span("engine.compile");
-    let use_opt = use_optimized(options, faults);
-    let reports = match cache {
+    let passes = effective_passes(options, faults);
+    let compiled = options.eval_strategy == EvalStrategy::Compiled;
+    let circuit = |structure| Compiled {
+        config,
+        variation,
+        registers,
+        signals,
+        faults,
+        t_offset,
+        structure,
+    };
+    let fresh_structure;
+    let fresh_tape;
+    let (structure, tape) = match cache {
         Some((cache, epoch)) => {
-            if cache.structure.is_none() || cache.epoch != epoch {
-                cache.structure = Some(Structure::build(registers, config)?);
-                cache.plan = None;
-                cache.opt = None;
-                cache.epoch = epoch;
-                cache.stats.structures_built += 1;
-            } else {
-                cache.stats.cache_hits += 1;
-                if aa_obs::is_active() {
-                    aa_obs::counter("engine.plan_cache_hits", 1);
-                }
-            }
+            cache.refresh(registers, config, epoch)?;
             let PlanCache {
                 structure,
-                plan,
-                opt,
+                tape,
                 stats,
                 ..
             } = cache;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: structure.as_ref().expect("structure ensured above"),
-            };
-            let (plan, opt) = if use_opt {
-                (
-                    None,
-                    Some(ensure_optimized(opt, stats, &circuit, &options.passes)),
-                )
-            } else {
-                let plan = match options.eval_strategy {
-                    EvalStrategy::Compiled => {
-                        if plan.is_none() {
-                            *plan = Some(crate::plan::CompiledPlan::lower(&circuit));
-                            stats.plans_lowered += 1;
-                            if aa_obs::is_active() {
-                                aa_obs::counter("engine.plans_lowered", 1);
-                            }
-                        }
-                        plan.as_ref()
-                    }
-                    EvalStrategy::Reference => None,
-                };
-                (plan, None)
-            };
-            drop(compile_span);
-            execute_batch(&circuit, plan, opt, &overlays, options)?
+            let structure = structure.as_ref().expect("structure refreshed above");
+            let tape = compiled.then(|| ensure_tape(tape, stats, &circuit(structure), passes));
+            (structure, tape)
         }
         None => {
-            let structure = Structure::build(registers, config)?;
-            let circuit = Compiled {
-                config,
-                variation,
-                registers,
-                signals,
-                faults,
-                t_offset,
-                structure: &structure,
-            };
-            let opt = if use_opt {
-                Some(crate::ir::lower_optimized(&circuit, &options.passes))
-            } else {
-                None
-            };
-            let plan = match options.eval_strategy {
-                EvalStrategy::Compiled if !use_opt => {
-                    Some(crate::plan::CompiledPlan::lower(&circuit))
-                }
-                _ => None,
-            };
-            drop(compile_span);
-            execute_batch(&circuit, plan.as_ref(), opt.as_ref(), &overlays, options)?
+            fresh_structure = Structure::build(registers, config)?;
+            fresh_tape = compiled.then(|| lower_tape(&circuit(&fresh_structure), &passes));
+            (&fresh_structure, fresh_tape.as_ref())
         }
     };
+    drop(compile_span);
 
-    if aa_obs::is_active() {
+    let execute_span = aa_obs::span("engine.execute");
+    let circuit = circuit(structure);
+    let reports = match tape {
+        Some(tape) => {
+            let lane_dacs: Vec<&BTreeMap<usize, f64>> =
+                overlays.iter().map(|r| &r.dac_values).collect();
+            let mut sweep = TapeRun::bind(tape, &circuit, &lane_dacs);
+            integrate(&circuit, &mut sweep, overlays, options)
+        }
+        // The oracle runs each lane as its own one-lane integration.
+        None => overlays
+            .iter()
+            .map(|regs| {
+                let lane = Compiled {
+                    registers: regs,
+                    ..circuit
+                };
+                let mut oracle = lane;
+                let mut reports = integrate(&lane, &mut oracle, &[*regs], options)?;
+                Ok(reports.pop().expect("one lane in, one report out"))
+            })
+            .collect(),
+    }?;
+    drop(execute_span);
+
+    if batch && aa_obs::is_active() {
         aa_obs::counter("engine.batch_runs", 1);
         aa_obs::counter("engine.batch_lanes", reports.len() as u64);
     }
@@ -974,104 +910,38 @@ pub(crate) fn run_committed_batch(
     Ok(reports)
 }
 
-/// Dispatches a batch to the chosen evaluator inside the `engine.execute`
-/// span: the compiled lockstep sweep, or K sequential reference
-/// integrations (the batched path's behavioural oracle).
-fn execute_batch(
-    circuit: &Compiled<'_>,
-    plan: Option<&crate::plan::CompiledPlan>,
-    opt: Option<&crate::ir::OptimizedPlan>,
-    overlays: &[Registers],
-    options: &EngineOptions,
-) -> Result<Vec<RunReport>, AnalogError> {
-    let execute_span = aa_obs::span("engine.execute");
-    let reports = match (opt, plan) {
-        // A single-lane batch is exactly one sequential run (the batched
-        // path's defining property), and the scalar evaluator has no
-        // lane-sweep setup cost to amortize — route it there, optimized or
-        // not.
-        (Some(opt), _) if overlays.len() == 1 => {
-            let lane_circuit = Compiled {
-                config: circuit.config,
-                variation: circuit.variation,
-                registers: &overlays[0],
-                signals: circuit.signals,
-                faults: circuit.faults,
-                t_offset: circuit.t_offset,
-                structure: circuit.structure,
-            };
-            let run = crate::ir::OptRun::bind(opt, &lane_circuit);
-            integrate(&lane_circuit, &run, options).map(|r| vec![r])
-        }
-        (Some(opt), _) => {
-            let lane_dacs: Vec<&BTreeMap<usize, f64>> =
-                overlays.iter().map(|r| &r.dac_values).collect();
-            let mut batch = crate::ir::OptBatchRun::bind(opt, circuit, &lane_dacs);
-            integrate_batch(circuit, &mut batch, overlays, options)
-        }
-        (None, Some(plan)) if overlays.len() == 1 => {
-            let lane_circuit = Compiled {
-                config: circuit.config,
-                variation: circuit.variation,
-                registers: &overlays[0],
-                signals: circuit.signals,
-                faults: circuit.faults,
-                t_offset: circuit.t_offset,
-                structure: circuit.structure,
-            };
-            let run = crate::plan::PlanRun::bind(plan, &lane_circuit);
-            integrate(&lane_circuit, &run, options).map(|r| vec![r])
-        }
-        (None, Some(plan)) => {
-            let lane_dacs: Vec<&BTreeMap<usize, f64>> =
-                overlays.iter().map(|r| &r.dac_values).collect();
-            let mut batch = crate::plan::BatchRun::bind(plan, circuit, &lane_dacs);
-            integrate_batch(circuit, &mut batch, overlays, options)
-        }
-        (None, None) => overlays
-            .iter()
-            .map(|regs| {
-                let lane_circuit = Compiled {
-                    config: circuit.config,
-                    variation: circuit.variation,
-                    registers: regs,
-                    signals: circuit.signals,
-                    faults: circuit.faults,
-                    t_offset: circuit.t_offset,
-                    structure: circuit.structure,
-                };
-                integrate(&lane_circuit, &lane_circuit, options)
-            })
-            .collect(),
-    }?;
-    drop(execute_span);
-    Ok(reports)
-}
-
-/// The lockstep K-lane RK4 loop. Structured exactly like [`integrate`] with
-/// a lane sweep inside every phase: all lanes share the time axis (`dt` and
-/// the end-of-run horizon are lane-independent), and a lane **retires**
-/// individually the moment its own stop condition fires — its state column,
-/// tracker entries, waveforms, and step count freeze at that instant, so
-/// every column's [`RunReport`] is bit-identical to the sequential run that
-/// would have broken out of the loop right there.
+/// The RK4 run loop over K lockstep lanes, generic over the circuit
+/// evaluator. `circuit` supplies the structural metadata (slot numbering,
+/// used-unit lists) and the shared registers (timeout); `overlays` the
+/// per-lane initial conditions; `evaluator` does the per-stage arithmetic.
+///
+/// All lanes share the time axis (`dt` and the end-of-run horizon are
+/// lane-independent), and a lane **retires** individually the moment its
+/// own stop condition fires — its state column, tracker entries, waveforms,
+/// and step count freeze at that instant, so every column's [`RunReport`]
+/// is bit-identical to the one-lane run that would have stopped right
+/// there.
 // The lane loops index `active` plus several SoA columns in lockstep; a
 // range loop is the clear form, not a needless one.
 #[allow(clippy::needless_range_loop)]
-fn integrate_batch<B: LaneEvaluator>(
+fn integrate<E: LaneEvaluator>(
     circuit: &Compiled<'_>,
-    batch: &mut B,
-    overlays: &[Registers],
+    evaluator: &mut E,
+    overlays: &[&Registers],
     options: &EngineOptions,
 ) -> Result<Vec<RunReport>, AnalogError> {
     let registers = circuit.registers;
     let config = circuit.config;
     let faults = circuit.faults;
     let t_offset = circuit.t_offset;
-    let k = batch.lanes();
+    let k = evaluator.lanes();
     debug_assert_eq!(k, overlays.len());
     let n = circuit.n_states();
-    let n_slots = circuit.structure.slot_index.len().max(batch.min_slots());
+    let n_slots = circuit
+        .structure
+        .slot_index
+        .len()
+        .max(evaluator.min_slots());
     let fs = config.full_scale;
     let omega = config.omega();
     let dt = options.dt_tau / omega;
@@ -1081,7 +951,7 @@ fn integrate_batch<B: LaneEvaluator>(
     let cap_s = options.max_tau / omega;
     let end_s = timeout_s.map_or(cap_s, |t| t.min(cap_s));
 
-    let mut tracker = BatchTracker {
+    let mut tracker = Tracker {
         values: vec![0.0; n_slots * k],
         max_abs: vec![0.0; n_slots * k],
         clipped: vec![false; n_slots * k],
@@ -1157,7 +1027,7 @@ fn integrate_batch<B: LaneEvaluator>(
         }
 
         // k1 also refreshes slot values at time t (used for sampling below).
-        batch.eval_lanes(t, &state, &mut k1, &mut tracker, true, &active);
+        evaluator.eval_lanes(t, &state, &mut k1, &mut tracker, true, &active);
 
         // Record output waveforms, per lane (decimation state is per lane:
         // a retired lane's buffers must stop exactly where its sequential
@@ -1235,7 +1105,7 @@ fn integrate_batch<B: LaneEvaluator>(
                 }
             }
         }
-        batch.eval_lanes(t + 0.5 * h, &mid, &mut k2, &mut tracker, false, &active);
+        evaluator.eval_lanes(t + 0.5 * h, &mid, &mut k2, &mut tracker, false, &active);
         if all_active {
             for idx in 0..n * k {
                 mid[idx] = state[idx] + 0.5 * h * k2[idx];
@@ -1249,7 +1119,7 @@ fn integrate_batch<B: LaneEvaluator>(
                 }
             }
         }
-        batch.eval_lanes(t + 0.5 * h, &mid, &mut k3, &mut tracker, false, &active);
+        evaluator.eval_lanes(t + 0.5 * h, &mid, &mut k3, &mut tracker, false, &active);
         if all_active {
             for idx in 0..n * k {
                 mid[idx] = state[idx] + h * k3[idx];
@@ -1263,7 +1133,7 @@ fn integrate_batch<B: LaneEvaluator>(
                 }
             }
         }
-        batch.eval_lanes(t + h, &mid, &mut k4, &mut tracker, false, &active);
+        evaluator.eval_lanes(t + h, &mid, &mut k4, &mut tracker, false, &active);
         if all_active {
             for idx in 0..n * k {
                 state[idx] += h / 6.0 * (k1[idx] + 2.0 * k2[idx] + 2.0 * k3[idx] + k4[idx]);
@@ -1304,8 +1174,8 @@ fn integrate_batch<B: LaneEvaluator>(
         steps += 1;
     }
 
-    // Harvest per-lane observations — the same walk as `integrate`, over
-    // each lane's column of the tracker and state.
+    // Harvest per-lane observations over each lane's column of the tracker
+    // and state.
     let mut reports = Vec::with_capacity(k);
     for lane in 0..k {
         let mut exceptions = ExceptionVector::new();
@@ -1361,252 +1231,6 @@ fn integrate_batch<B: LaneEvaluator>(
         });
     }
     Ok(reports)
-}
-
-/// Binds per-run state to the chosen evaluator and runs the RK4 loop
-/// inside the `engine.execute` span.
-fn execute(
-    circuit: &Compiled<'_>,
-    plan: Option<&crate::plan::CompiledPlan>,
-    opt: Option<&crate::ir::OptimizedPlan>,
-    options: &EngineOptions,
-) -> Result<RunReport, AnalogError> {
-    let execute_span = aa_obs::span("engine.execute");
-    let report = match (opt, plan) {
-        (Some(opt), _) => {
-            let run = crate::ir::OptRun::bind(opt, circuit);
-            integrate(circuit, &run, options)
-        }
-        (None, Some(plan)) => {
-            let run = crate::plan::PlanRun::bind(plan, circuit);
-            integrate(circuit, &run, options)
-        }
-        (None, None) => integrate(circuit, circuit, options),
-    }?;
-    drop(execute_span);
-    Ok(report)
-}
-
-/// The RK4 run loop, generic over the circuit evaluator. `circuit` supplies
-/// the structural metadata (slot numbering, used-unit lists); `evaluator`
-/// does the per-stage arithmetic.
-fn integrate<E: Evaluator>(
-    circuit: &Compiled<'_>,
-    evaluator: &E,
-    options: &EngineOptions,
-) -> Result<RunReport, AnalogError> {
-    let registers = circuit.registers;
-    let config = circuit.config;
-    let faults = circuit.faults;
-    let t_offset = circuit.t_offset;
-    let n = circuit.n_states();
-    let n_slots = circuit
-        .structure
-        .slot_index
-        .len()
-        .max(evaluator.min_slots());
-    let fs = config.full_scale;
-    let omega = config.omega();
-    let dt = options.dt_tau / omega;
-    let timeout_s = registers
-        .timeout_cycles
-        .map(|c| c as f64 / CONTROL_CLOCK_HZ);
-    let cap_s = options.max_tau / omega;
-    let end_s = timeout_s.map_or(cap_s, |t| t.min(cap_s));
-
-    let mut tracker = Tracker {
-        values: vec![0.0; n_slots],
-        max_abs: vec![0.0; n_slots],
-        clipped: vec![false; n_slots],
-    };
-
-    // Slot lookups resolved once, outside the loop: integrator output slots
-    // (stuck-rail and saturation tracking) and analog-output sink slots
-    // (waveform sampling), which previously went through `slot_index` every
-    // step and every sample respectively.
-    let int_out_slots: Vec<usize> = circuit
-        .structure
-        .integrator_of_state
-        .iter()
-        .map(|&i| circuit.slot(OutputPort::of(UnitId::Integrator(i))))
-        .collect();
-    let aout_sinks: Vec<usize> = circuit
-        .structure
-        .analog_outputs
-        .iter()
-        .map(|&i| circuit.sink_slot(UnitId::AnalogOutput(i)))
-        .collect();
-
-    // Initial conditions.
-    let mut state: Vec<f64> = circuit
-        .structure
-        .integrator_of_state
-        .iter()
-        .map(|i| registers.int_initial.get(i).copied().unwrap_or(0.0))
-        .collect();
-
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut mid = vec![0.0; n];
-
-    // Waveform sampling starts dense and decimates by two whenever the
-    // buffer doubles past the target, so the retained samples always span
-    // the whole (unknown-in-advance) run at roughly uniform spacing.
-    let mut stride = 1usize;
-    let mut waves: Vec<Vec<(f64, f64)>> = vec![Vec::new(); aout_sinks.len()];
-
-    let mut t = 0.0;
-    let mut steps = 0usize;
-    let mut reached_steady = false;
-    let mut timed_out = false;
-    let mut aborted_on_exception = false;
-    let mut faults_active_steps = 0usize;
-
-    loop {
-        // Stuck-at-rail faults pin the integrator state and latch an
-        // overflow exception, exactly as a genuine saturation would.
-        if let Some(plan) = faults {
-            if plan.any_active(t_offset + t) {
-                faults_active_steps += 1;
-            }
-            for (slot_state, &int_idx) in circuit.structure.integrator_of_state.iter().enumerate() {
-                if let Some(rail) = plan.stuck_rail(int_idx, t_offset + t) {
-                    state[slot_state] = rail.sign() * fs;
-                    let s = int_out_slots[slot_state];
-                    tracker.clipped[s] = true;
-                    tracker.max_abs[s] = tracker.max_abs[s].max(fs * 1.0000001);
-                }
-            }
-        }
-
-        // k1 also refreshes slot values at time t (used for sampling below).
-        evaluator.eval_circuit(t, &state, &mut k1, &mut tracker, true);
-
-        // Record output waveforms.
-        if steps.is_multiple_of(stride) || t >= end_s {
-            let mut overflow = false;
-            for (wave, &slot) in waves.iter_mut().zip(&aout_sinks) {
-                wave.push((t, tracker.values[slot]));
-                overflow |=
-                    options.waveform_samples > 0 && wave.len() >= 2 * options.waveform_samples;
-            }
-            if overflow {
-                for wave in waves.iter_mut() {
-                    let mut keep = 0;
-                    wave.retain(|_| {
-                        keep += 1;
-                        keep % 2 == 1
-                    });
-                }
-                stride = stride.saturating_mul(2);
-            }
-        }
-
-        // Stop checks. The dnorm reduction over k1 only runs when a steady
-        // tolerance is actually configured.
-        if n > 0 {
-            if let Some(tol) = options.steady_tol {
-                let dnorm = k1.iter().fold(0.0f64, |m, v| m.max(v.abs())) / omega;
-                if dnorm <= tol {
-                    reached_steady = true;
-                }
-            }
-        }
-        if t >= end_s {
-            timed_out = timeout_s.is_some_and(|ts| t >= ts);
-        }
-        if options.stop_on_exception && tracker.clipped.iter().any(|c| *c) {
-            aborted_on_exception = true;
-        }
-        if reached_steady || aborted_on_exception || t >= end_s || n == 0 {
-            break;
-        }
-
-        // RK4 step (k1 already computed).
-        let h = dt.min(end_s - t);
-        for i in 0..n {
-            mid[i] = state[i] + 0.5 * h * k1[i];
-        }
-        evaluator.eval_circuit(t + 0.5 * h, &mid, &mut k2, &mut tracker, false);
-        for i in 0..n {
-            mid[i] = state[i] + 0.5 * h * k2[i];
-        }
-        evaluator.eval_circuit(t + 0.5 * h, &mid, &mut k3, &mut tracker, false);
-        for i in 0..n {
-            mid[i] = state[i] + h * k3[i];
-        }
-        evaluator.eval_circuit(t + h, &mid, &mut k4, &mut tracker, false);
-        for i in 0..n {
-            state[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-
-        // Integrator saturation at the rails.
-        for (slot_state, s) in int_out_slots.iter().copied().enumerate() {
-            if state[slot_state].abs() > fs {
-                state[slot_state] = state[slot_state].clamp(-fs, fs);
-                tracker.clipped[s] = true;
-                tracker.max_abs[s] = tracker.max_abs[s].max(fs * 1.0000001);
-            }
-            if !state[slot_state].is_finite() {
-                return Err(AnalogError::Engine(aa_ode::OdeError::Diverged {
-                    at_time: t,
-                }));
-            }
-        }
-
-        t += h;
-        steps += 1;
-    }
-
-    // Harvest observations.
-    let mut exceptions = ExceptionVector::new();
-    let mut range_usage = BTreeMap::new();
-    for (slot, unit) in circuit.structure.unit_of_slot.iter().enumerate() {
-        if tracker.clipped[slot] {
-            exceptions.latch(*unit);
-        }
-        let usage = tracker.max_abs[slot] / fs;
-        range_usage
-            .entry(*unit)
-            .and_modify(|u: &mut f64| *u = u.max(usage))
-            .or_insert(usage);
-    }
-    let integrator_values: BTreeMap<usize, f64> = circuit
-        .structure
-        .integrator_of_state
-        .iter()
-        .enumerate()
-        .map(|(s, &i)| (i, state[s]))
-        .collect();
-    let adc_inputs: BTreeMap<usize, f64> = circuit
-        .structure
-        .adcs
-        .iter()
-        .map(|&i| (i, tracker.values[circuit.sink_slot(UnitId::Adc(i))]))
-        .collect();
-    let output_waveforms: BTreeMap<usize, Vec<(f64, f64)>> = circuit
-        .structure
-        .analog_outputs
-        .iter()
-        .copied()
-        .zip(waves)
-        .collect();
-
-    Ok(RunReport {
-        duration_s: t,
-        steps,
-        reached_steady_state: reached_steady,
-        timed_out,
-        aborted_on_exception,
-        exceptions,
-        range_usage,
-        integrator_values,
-        adc_inputs,
-        output_waveforms,
-        faults_active_steps,
-    })
 }
 
 #[cfg(test)]
@@ -1951,6 +1575,147 @@ mod tests {
         // The integrator *output* (state + offset) settles at 0.5, so the
         // internal state sits 0.05 low; the ADC branch sees ≈ 0.5.
         assert!((report.integrator_values[&0] - 0.45).abs() < 1e-3);
+    }
+
+    /// Every distortable unit kind on one circuit — integrator, DAC and
+    /// analog-input sources, gain and variable multipliers, fanouts, a LUT
+    /// — plus a sink fault the engine must ignore: `int0 → fan0 → {mul0 →
+    /// int0, lut0 → adc0}` driven by `dac0`, and `du1/dt ∝ −u1² + dac1 +
+    /// ain0` through `fan1 → mul1(var) → mul2`.
+    fn every_fault_site_chip() -> AnalogChip {
+        let mut chip = AnalogChip::new(ChipConfig::ideal());
+        let (int0, int1) = (UnitId::Integrator(0), UnitId::Integrator(1));
+        let (fan0, fan1) = (UnitId::Fanout(0), UnitId::Fanout(1));
+        let (mul0, mul1, mul2) = (
+            UnitId::Multiplier(0),
+            UnitId::Multiplier(1),
+            UnitId::Multiplier(2),
+        );
+        let out = |unit, port| OutputPort { unit, port };
+        let wires = [
+            (OutputPort::of(int0), InputPort::of(fan0)),
+            (out(fan0, 0), InputPort::of(mul0)),
+            (OutputPort::of(mul0), InputPort::of(int0)),
+            (out(fan0, 1), InputPort::of(UnitId::Lut(0))),
+            (
+                OutputPort::of(UnitId::Lut(0)),
+                InputPort::of(UnitId::Adc(0)),
+            ),
+            (OutputPort::of(UnitId::Dac(0)), InputPort::of(int0)),
+            (OutputPort::of(int1), InputPort::of(fan1)),
+            (
+                out(fan1, 0),
+                InputPort {
+                    unit: mul1,
+                    port: 0,
+                },
+            ),
+            (
+                out(fan1, 1),
+                InputPort {
+                    unit: mul1,
+                    port: 1,
+                },
+            ),
+            (OutputPort::of(mul1), InputPort::of(mul2)),
+            (OutputPort::of(mul2), InputPort::of(int1)),
+            (OutputPort::of(UnitId::Dac(1)), InputPort::of(int1)),
+            (OutputPort::of(UnitId::AnalogInput(0)), InputPort::of(int1)),
+        ];
+        for (from, to) in wires {
+            chip.set_conn(from, to).unwrap();
+        }
+        chip.set_mul_gain(0, -1.0).unwrap();
+        chip.set_mul_variable(1).unwrap();
+        chip.set_mul_gain(2, -1.0).unwrap();
+        chip.set_function(0, |x| 0.5 * x).unwrap();
+        chip.set_dac_constant(0, 0.4).unwrap();
+        chip.set_dac_constant(1, 0.2).unwrap();
+        chip.set_ana_input_en(0, true).unwrap();
+        chip.attach_input_signal(0, Box::new(|_t| 0.05)).unwrap();
+        chip.set_int_initial(0, 0.1).unwrap();
+        chip.set_int_initial(1, 0.3).unwrap();
+        chip.cfg_commit().unwrap();
+
+        use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+        let drift = |unit, magnitude| FaultKind::GainDrift {
+            unit,
+            magnitude,
+            ramp_s: 0.0,
+        };
+        let offset = |unit, magnitude| FaultKind::OffsetDrift {
+            unit,
+            magnitude,
+            ramp_s: 0.0,
+        };
+        let mut plan = FaultPlan::new(5);
+        for kind in [
+            offset(int0, 0.01),
+            offset(int1, -0.01),
+            drift(UnitId::Dac(0), 0.05),
+            drift(UnitId::Dac(1), -0.02),
+            offset(UnitId::AnalogInput(0), 0.01),
+            drift(mul0, 0.03),
+            drift(mul1, 0.04),
+            drift(mul2, -0.03),
+            offset(fan0, 0.005),
+            drift(UnitId::Lut(0), 0.1),
+            offset(UnitId::Adc(0), 0.2),
+        ] {
+            plan.push(FaultEvent::persistent(kind, 0.0));
+        }
+        plan.push(FaultEvent::transient(
+            FaultKind::NoiseBurst {
+                unit: fan1,
+                amplitude: 0.01,
+            },
+            0.0,
+            2e-5,
+        ));
+        chip.inject_fault_plan(plan);
+        chip
+    }
+
+    /// The compiled tape applies every per-unit fault hook exactly where
+    /// the reference evaluator does, on the one-lane sweep and on a batch
+    /// whose lanes retire at different steps (the masked sweep).
+    #[test]
+    fn compiled_fault_hooks_match_the_reference_at_every_site() {
+        let options = |eval_strategy| EngineOptions {
+            max_tau: 300.0,
+            eval_strategy,
+            ..EngineOptions::default()
+        };
+        let sequential = |strategy| every_fault_site_chip().exec(&options(strategy)).unwrap();
+        let compiled = sequential(EvalStrategy::Compiled);
+        assert_eq!(compiled, sequential(EvalStrategy::Reference));
+        assert!(compiled.faults_active_steps > 0);
+        let mut clean = every_fault_site_chip();
+        clean.clear_fault_plan();
+        let clean = clean.exec(&options(EvalStrategy::Compiled)).unwrap();
+        assert_ne!(compiled.integrator_values, clean.integrator_values);
+        assert_ne!(compiled.adc_inputs, clean.adc_inputs);
+
+        let lanes: Vec<LaneBindings> = [(0.1, 0.3), (0.6, 0.05), (-0.4, 0.7)]
+            .into_iter()
+            .map(|(u0, u1)| LaneBindings {
+                dac_values: None,
+                int_initial: Some(BTreeMap::from([(0, u0), (1, u1)])),
+            })
+            .collect();
+        let batched = |strategy| {
+            every_fault_site_chip()
+                .exec_batch(&lanes, &options(strategy))
+                .unwrap()
+                .reports
+        };
+        let compiled = batched(EvalStrategy::Compiled);
+        assert_eq!(compiled, batched(EvalStrategy::Reference));
+        let steps: Vec<usize> = compiled.iter().map(|r| r.steps).collect();
+        assert!(
+            steps.iter().any(|&s| s != steps[0]),
+            "lanes must retire at different steps: {steps:?}"
+        );
     }
 
     #[test]

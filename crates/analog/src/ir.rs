@@ -1,38 +1,141 @@
-//! The typed plan IR and the optimized structure-of-arrays tape.
+//! The compiled engine's execution tape: typed plan IR, scheduling, and
+//! the lane evaluator every [`EvalStrategy::Compiled`] run goes through.
 //!
 //! [`IrGraph::lower`] turns the engine's reference circuit into a typed op
-//! graph mirroring [`crate::plan::CompiledPlan`]'s tape, but with owned,
-//! mutable input-slot lists so the passes in [`crate::passes`] can rewrite
-//! it. After the pipeline runs, [`IrGraph::schedule`] regroups the
-//! surviving ops by `(dependency level, op kind)` into per-kind
-//! structure-of-arrays lanes: the RK4 inner loop then dispatches **once per
-//! segment** instead of once per op, sweeping homogeneous runs of
-//! multiplies, MACs, fanouts, LUTs, and sinks.
+//! graph with owned, mutable input-slot lists, so the passes in
+//! [`crate::passes`] can rewrite it. [`IrGraph::schedule`] then regroups
+//! the surviving ops by `(dependency level, op kind)` into per-kind op
+//! arrays: the RK4 inner loop dispatches **once per segment** instead of
+//! once per op, sweeping homogeneous runs of
+//! multiplies, MACs, fanouts, LUTs, and sinks. [`TapeRun`] executes the
+//! scheduled [`Tape`] for K lanes at once; a sequential run is the
+//! one-lane case of the same sweep.
 //!
-//! Two executors consume the scheduled [`OptimizedPlan`]: [`OptRun`] (the
-//! sequential [`Evaluator`]) and [`OptBatchRun`] (the K-lane
-//! [`LaneEvaluator`]). Both are only reachable when no fault plan is armed,
-//! so the per-op `distort` call and its branch are gone from the hot loop
-//! entirely. The tolerance contract for the pass pipeline is documented in
+//! Under `PassConfig::none()` the tape is pure restructuring: every
+//! floating-point operation keeps the exact order and association of the
+//! reference evaluator, and scheduling only reorders independent ops
+//! within one dependency level, so runs are **bit-identical** to
+//! [`EvalStrategy::Reference`] (the differential property tests in
+//! `tests/properties.rs` assert this across random netlists, process
+//! variation, and active fault plans). Runs with an armed fault plan always
+//! lower under `none()`, and [`TapeRun`] applies the per-unit fault
+//! adjustments exactly where the reference evaluator does. The
+//! tolerance contract for enabled passes is documented in
 //! [`crate::passes`]: `fold_constants`, `cse`, and `dce` preserve solution
 //! values bit for bit (they only skip redundant stores), while
 //! `fuse_gain_chains` reassociates the affine arithmetic and elides the
-//! intermediate clip, so fused plans match the reference within a relative
+//! intermediate clip, so fused tapes match the reference within a relative
 //! error bound rather than exactly. Ops eliminated by any pass report zero
 //! range usage and never latch exceptions.
+//!
+//! [`EvalStrategy::Compiled`]: crate::engine::EvalStrategy::Compiled
+//! [`EvalStrategy::Reference`]: crate::engine::EvalStrategy::Reference
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use crate::chip::InputSignal;
-use crate::engine::{BatchTracker, Compiled, Evaluator, LaneEvaluator, Tracker};
+use crate::engine::{Compiled, LaneEvaluator, Tracker};
+use crate::fault::FaultPlan;
 use crate::lut::LookupTable;
 use crate::netlist::{InputPort, OutputPort};
+use crate::nonideal::BlockImperfection;
 use crate::passes::{run_pipeline, PassConfig, PassStat};
-use crate::plan::{
-    dump_imp, dump_slots, dump_unit, DacSource, DriverRange, Imp, InputSource, IntSource,
-};
 use crate::units::UnitId;
+
+/// A block's transfer imperfection with the trim-DAC conversions done ahead
+/// of time. `apply` reproduces [`BlockImperfection::apply`] bit for bit:
+/// the reference computes `((x·f1)·f2 + o1) + o2` with these exact
+/// sub-expressions, so precomputing them cannot change a single ulp.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Imp {
+    pub(crate) f1: f64,
+    pub(crate) f2: f64,
+    pub(crate) o1: f64,
+    pub(crate) o2: f64,
+}
+
+impl Imp {
+    pub(crate) fn lower(b: &BlockImperfection) -> Self {
+        Imp {
+            f1: 1.0 + b.gain_error,
+            f2: 1.0 + b.gain_trim_value(),
+            o1: b.offset,
+            o2: b.offset_trim_value(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn apply(&self, ideal: f64) -> f64 {
+        ((ideal * self.f1) * self.f2 + self.o1) + self.o2
+    }
+
+    /// The affine coefficient `f1·f2` — what `apply` multiplies by, up to
+    /// reassociation. Used by gain-chain fusion, which accepts the
+    /// documented reassociation tolerance.
+    pub(crate) fn coefficient(&self) -> f64 {
+        self.f1 * self.f2
+    }
+
+    /// The affine constant `o1 + o2` — what `apply` adds, up to
+    /// reassociation.
+    pub(crate) fn constant(&self) -> f64 {
+        self.o1 + self.o2
+    }
+
+    /// Whether `apply` is exactly the identity (an ideal, untrimmed block).
+    pub(crate) fn is_identity(&self) -> bool {
+        self.f1 == 1.0 && self.f2 == 1.0 && self.o1 == 0.0 && self.o2 == 0.0
+    }
+
+    /// Bit-exact fingerprint, for structural value-numbering in CSE.
+    pub(crate) fn bits(&self) -> [u64; 4] {
+        [
+            self.f1.to_bits(),
+            self.f2.to_bits(),
+            self.o1.to_bits(),
+            self.o2.to_bits(),
+        ]
+    }
+}
+
+/// A consumer's driver list: a `(start, end)` range into
+/// [`Tape::driver_slots`]. An unconnected port is the empty range.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DriverRange {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+/// One integrator output: state slot `i` feeds output slot `out`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IntSource {
+    pub(crate) unit: UnitId,
+    pub(crate) imp: Imp,
+    pub(crate) out: u32,
+}
+
+/// One DAC output. The programmed constant is **not** baked in — DACs are
+/// reprogrammed on every solve without invalidating the plan cache, so
+/// [`TapeRun`] fetches the value per lane at bind time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DacSource {
+    pub(crate) unit: UnitId,
+    /// DAC register index, for the per-run value fetch.
+    pub(crate) dac: usize,
+    pub(crate) imp: Imp,
+    pub(crate) out: u32,
+}
+
+/// One external analog input. Whether the channel is enabled and which
+/// stimulus is attached are per-run state (resolved by [`TapeRun`]); only
+/// the channel index and output slot are structural.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InputSource {
+    pub(crate) unit: UnitId,
+    /// Analog-input channel index, for the per-run signal lookup.
+    pub(crate) channel: usize,
+    pub(crate) out: u32,
+}
 
 /// One memoryless op's kind and kind-specific payload. Input/output slots
 /// live on [`IrNode`] so the passes rewrite them uniformly.
@@ -50,7 +153,8 @@ pub(crate) enum IrKind {
         imp: Imp,
         branches: u32,
     },
-    /// Lookup table (owned contents, as in the unoptimized tape).
+    /// Lookup table (owned contents: LUT writes bump the plan epoch, so a
+    /// cached tape never sees stale entries).
     Lut { unit: UnitId, lut: LookupTable },
     /// ADC / analog-output sink: clip the summed input into the sink slot.
     Sink,
@@ -71,7 +175,7 @@ pub(crate) struct IrNode {
 }
 
 /// The typed op graph the pass pipeline rewrites. Lowered per committed
-/// netlist, consumed by [`IrGraph::schedule`] into an [`OptimizedPlan`].
+/// netlist, consumed by [`IrGraph::schedule`] into an [`Tape`].
 pub(crate) struct IrGraph {
     full_scale: f64,
     omega: f64,
@@ -92,9 +196,13 @@ pub(crate) struct IrGraph {
 }
 
 impl IrGraph {
-    /// Lowers the reference circuit into the typed op graph — the same
-    /// structural walk as [`crate::plan::CompiledPlan::lower`], with owned
-    /// slot lists per node instead of ranges into a shared CSR array.
+    /// Lowers the reference circuit into the typed op graph: one node per
+    /// memoryless unit in the netlist's topological order, with every
+    /// value the reference evaluator would fetch per eval resolved once
+    /// (multiplier gains, lookup-table contents, imperfection factors).
+    /// Only reads of committed registers that change behind a plan-epoch
+    /// bump are resolved early; DAC constants and input signals stay
+    /// per-run state, bound by [`TapeRun::bind`].
     pub(crate) fn lower(c: &Compiled<'_>) -> Self {
         let slots_of = |port: InputPort| -> Vec<u32> {
             c.structure
@@ -501,12 +609,12 @@ impl IrGraph {
         }
     }
 
-    /// Groups the surviving ops into the SoA op-kind tape: nodes are stably
+    /// Groups the surviving ops into the op-kind tape: nodes are stably
     /// sorted by `(dependency level, kind rank)` — level ordering preserves
     /// every producer-before-consumer constraint, kind ranking within a
     /// level maximizes homogeneous run length — then packed into per-kind
-    /// lane arrays with maximal same-kind segments.
-    pub(crate) fn schedule(self, pass_log: Vec<PassStat>, ops_before: u64) -> OptimizedPlan {
+    /// op arrays with maximal same-kind segments.
+    pub(crate) fn schedule(self, pass_log: Vec<PassStat>, ops_before: u64) -> Tape {
         let ops_after = self.ops_per_eval();
         let mut level = vec![0u32; self.n_slots];
         let mut order: Vec<(u32, u8, usize)> = Vec::new();
@@ -547,66 +655,78 @@ impl IrGraph {
 
         let mut driver_slots: Vec<u32> = Vec::new();
         let mut segments: Vec<Segment> = Vec::new();
-        let mut mulgain = MulGainLanes::default();
-        let mut mac = MacLanes::default();
-        let mut mulvar = MulVarLanes::default();
-        let mut fanout = FanoutLanes::default();
-        let mut lut_lanes = LutLanes::default();
-        let mut sink = SinkLanes::default();
+        let mut mulgain = Vec::new();
+        let mut mac = Vec::new();
+        let mut mulvar = Vec::new();
+        let mut fanout = Vec::new();
+        let mut lut_ops = Vec::new();
+        let mut sink = Vec::new();
 
         for &(_, _, idx) in &order {
             let node = &self.nodes[idx];
             let in0 = push_range(&mut driver_slots, &node.in0);
+            let out = node.out;
             let (kind, pos) = match &node.kind {
-                IrKind::MulGain { unit, gain, imp } => {
-                    mulgain.unit.push(*unit);
-                    mulgain.gain.push(*gain);
-                    mulgain.imp.push(*imp);
-                    mulgain.in0.push(in0);
-                    mulgain.out.push(node.out);
-                    (SegKind::MulGain, mulgain.out.len() as u32)
+                &IrKind::MulGain { unit, gain, imp } => {
+                    mulgain.push(MulGainOp {
+                        unit,
+                        gain,
+                        imp,
+                        in0,
+                        out,
+                    });
+                    (SegKind::MulGain, mulgain.len())
                 }
-                IrKind::Mac { unit, a, b } => {
-                    mac.unit.push(*unit);
-                    mac.a.push(*a);
-                    mac.b.push(*b);
-                    mac.in0.push(in0);
-                    mac.out.push(node.out);
-                    (SegKind::Mac, mac.out.len() as u32)
+                &IrKind::Mac { unit, a, b } => {
+                    mac.push(MacOp {
+                        unit,
+                        a,
+                        b,
+                        in0,
+                        out,
+                    });
+                    (SegKind::Mac, mac.len())
                 }
-                IrKind::MulVar { unit, imp } => {
-                    mulvar.unit.push(*unit);
-                    mulvar.imp.push(*imp);
-                    mulvar.in0.push(in0);
-                    mulvar.in1.push(push_range(&mut driver_slots, &node.in1));
-                    mulvar.out.push(node.out);
-                    (SegKind::MulVar, mulvar.out.len() as u32)
+                &IrKind::MulVar { unit, imp } => {
+                    let in1 = push_range(&mut driver_slots, &node.in1);
+                    mulvar.push(MulVarOp {
+                        unit,
+                        imp,
+                        in0,
+                        in1,
+                        out,
+                    });
+                    (SegKind::MulVar, mulvar.len())
                 }
-                IrKind::Fanout {
+                &IrKind::Fanout {
                     unit,
                     imp,
                     branches,
                 } => {
-                    fanout.unit.push(*unit);
-                    fanout.imp.push(*imp);
-                    fanout.in0.push(in0);
-                    fanout.out0.push(node.out);
-                    fanout.branches.push(*branches);
-                    (SegKind::Fanout, fanout.out0.len() as u32)
+                    fanout.push(FanoutOp {
+                        unit,
+                        imp,
+                        in0,
+                        out0: out,
+                        branches,
+                    });
+                    (SegKind::Fanout, fanout.len())
                 }
                 IrKind::Lut { unit, lut } => {
-                    lut_lanes.unit.push(*unit);
-                    lut_lanes.lut.push(lut.clone());
-                    lut_lanes.in0.push(in0);
-                    lut_lanes.out.push(node.out);
-                    (SegKind::Lut, lut_lanes.out.len() as u32)
+                    lut_ops.push(LutOp {
+                        unit: *unit,
+                        lut: lut.clone(),
+                        in0,
+                        out,
+                    });
+                    (SegKind::Lut, lut_ops.len())
                 }
                 IrKind::Sink => {
-                    sink.in0.push(in0);
-                    sink.out.push(node.out);
-                    (SegKind::Sink, sink.out.len() as u32)
+                    sink.push(SinkOp { in0, out });
+                    (SegKind::Sink, sink.len())
                 }
             };
+            let pos = pos as u32;
             match segments.last_mut() {
                 Some(seg) if seg.kind == kind => seg.end = pos,
                 _ => segments.push(Segment {
@@ -623,7 +743,7 @@ impl IrGraph {
             .map(|d| push_range(&mut driver_slots, d))
             .collect();
 
-        OptimizedPlan {
+        Tape {
             full_scale: self.full_scale,
             omega: self.omega,
             n_slots: self.n_slots,
@@ -637,7 +757,7 @@ impl IrGraph {
             mac,
             mulvar,
             fanout,
-            lut: lut_lanes,
+            lut: lut_ops,
             sink,
             derivs,
             pass_log,
@@ -648,9 +768,9 @@ impl IrGraph {
 }
 
 /// Lowers the reference circuit through the IR and the pass pipeline into
-/// the scheduled SoA tape. The compile-span counterpart of
-/// [`crate::plan::CompiledPlan::lower`] for pass-enabled runs.
-pub(crate) fn lower_optimized(c: &Compiled<'_>, cfg: &PassConfig) -> OptimizedPlan {
+/// the scheduled tape. Under [`PassConfig::none`] no pass runs and the
+/// tape is the bit-exact compiled form of the reference circuit.
+pub(crate) fn lower_tape(c: &Compiled<'_>, cfg: &PassConfig) -> Tape {
     let mut graph = IrGraph::lower(c);
     let ops_before = graph.ops_per_eval();
     let pass_log = run_pipeline(&mut graph, cfg);
@@ -682,75 +802,70 @@ impl SegKind {
 }
 
 /// A maximal run of same-kind ops: `start..end` indexes into that kind's
-/// lane arrays.
+/// op array.
 pub(crate) struct Segment {
     kind: SegKind,
     start: u32,
     end: u32,
 }
 
-/// SoA lanes for gain-mode multipliers.
-#[derive(Default)]
-struct MulGainLanes {
-    unit: Vec<UnitId>,
-    gain: Vec<f64>,
-    imp: Vec<Imp>,
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
+/// A gain-mode multiplier on the tape: `clip(imp(gain · Σin0))`.
+struct MulGainOp {
+    unit: UnitId,
+    gain: f64,
+    imp: Imp,
+    in0: DriverRange,
+    out: u32,
 }
 
-/// SoA lanes for fused multiply-accumulates (unit label: the surviving
-/// downstream multiplier of the fused chain).
-#[derive(Default)]
-struct MacLanes {
-    unit: Vec<UnitId>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
+/// A fused multiply-accumulate: `clip(a · Σin0 + b)` (unit label: the
+/// surviving downstream multiplier of the fused chain).
+struct MacOp {
+    unit: UnitId,
+    a: f64,
+    b: f64,
+    in0: DriverRange,
+    out: u32,
 }
 
-/// SoA lanes for variable-mode multipliers.
-#[derive(Default)]
-struct MulVarLanes {
-    unit: Vec<UnitId>,
-    imp: Vec<Imp>,
-    in0: Vec<DriverRange>,
-    in1: Vec<DriverRange>,
-    out: Vec<u32>,
+/// A variable-mode multiplier: `clip(imp(Σin0 · Σin1 / fs))`.
+struct MulVarOp {
+    unit: UnitId,
+    imp: Imp,
+    in0: DriverRange,
+    in1: DriverRange,
+    out: u32,
 }
 
-/// SoA lanes for fanouts (contiguous branch slots from `out0`).
-#[derive(Default)]
-struct FanoutLanes {
-    unit: Vec<UnitId>,
-    imp: Vec<Imp>,
-    in0: Vec<DriverRange>,
-    out0: Vec<u32>,
-    branches: Vec<u32>,
+/// A fanout: one imperfection application, one clipped store per branch
+/// (contiguous branch slots from `out0`).
+struct FanoutOp {
+    unit: UnitId,
+    imp: Imp,
+    in0: DriverRange,
+    out0: u32,
+    branches: u32,
 }
 
-/// SoA lanes for lookup tables.
-#[derive(Default)]
-struct LutLanes {
-    unit: Vec<UnitId>,
-    lut: Vec<LookupTable>,
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
+/// A lookup table.
+struct LutOp {
+    unit: UnitId,
+    lut: LookupTable,
+    in0: DriverRange,
+    out: u32,
 }
 
-/// SoA lanes for ADC / analog-output sinks.
-#[derive(Default)]
-struct SinkLanes {
-    in0: Vec<DriverRange>,
-    out: Vec<u32>,
+/// An ADC / analog-output sink.
+struct SinkOp {
+    in0: DriverRange,
+    out: u32,
 }
 
-/// The pass-optimized, segment-scheduled execution tape for one committed
-/// netlist under one [`PassConfig`]. Cached in the chip's
+/// The segment-scheduled execution tape for one committed netlist under
+/// one [`PassConfig`]. Cached in the chip's
 /// [`PlanCache`](crate::engine::PlanCache) keyed by `(plan epoch,
-/// PassConfig)`; executed through [`OptRun`] / [`OptBatchRun`].
-pub(crate) struct OptimizedPlan {
+/// PassConfig)`; executed through [`TapeRun`].
+pub(crate) struct Tape {
     full_scale: f64,
     omega: f64,
     /// Slot-buffer length the tape writes — the structure's slot count
@@ -763,12 +878,12 @@ pub(crate) struct OptimizedPlan {
     const_dacs: Vec<DacSource>,
     input_sources: Vec<InputSource>,
     segments: Vec<Segment>,
-    mulgain: MulGainLanes,
-    mac: MacLanes,
-    mulvar: MulVarLanes,
-    fanout: FanoutLanes,
-    lut: LutLanes,
-    sink: SinkLanes,
+    mulgain: Vec<MulGainOp>,
+    mac: Vec<MacOp>,
+    mulvar: Vec<MulVarOp>,
+    fanout: Vec<FanoutOp>,
+    lut: Vec<LutOp>,
+    sink: Vec<SinkOp>,
     derivs: Vec<DriverRange>,
     /// Per-pass before/after op counts, in pipeline order.
     pub(crate) pass_log: Vec<PassStat>,
@@ -778,12 +893,16 @@ pub(crate) struct OptimizedPlan {
     pub(crate) ops_after: u64,
 }
 
-impl OptimizedPlan {
-    /// Renders the optimized tape in the same deterministic snapshot format
-    /// as [`crate::plan::CompiledPlan::dump`], extended with `src dac.const`
-    /// lines for folded constants, `op mac` lines for fused chains, `seg`
-    /// markers delimiting the homogeneous dispatch runs, and trailing
-    /// per-pass statistics lines.
+impl Tape {
+    /// Renders the tape in the deterministic textual snapshot format pinned
+    /// by `tests/ir_passes.rs` (documented in DESIGN.md §13): one header
+    /// line, one line per source (`src dac.const` for folded constants),
+    /// `seg` markers delimiting the homogeneous dispatch runs, one line per
+    /// op in tape order (`op mac` for fused chains), one per state
+    /// derivative, and trailing per-pass statistics lines. Floats print via
+    /// `Display` (shortest round-trip), block imperfections only when
+    /// non-identity — an ideal config dumps tidy. The header's store count
+    /// is the per-eval output-store metric the pass statistics use.
     pub(crate) fn dump(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -834,47 +953,47 @@ impl OptimizedPlan {
                 match seg.kind {
                     SegKind::MulGain => out.push_str(&format!(
                         "op mul.gain u={} g={}{} in={} -> s{}\n",
-                        dump_unit(self.mulgain.unit[i]),
-                        self.mulgain.gain[i],
-                        dump_imp(&self.mulgain.imp[i]),
-                        dump_slots(&self.driver_slots, self.mulgain.in0[i]),
-                        self.mulgain.out[i]
+                        dump_unit(self.mulgain[i].unit),
+                        self.mulgain[i].gain,
+                        dump_imp(&self.mulgain[i].imp),
+                        dump_slots(&self.driver_slots, self.mulgain[i].in0),
+                        self.mulgain[i].out
                     )),
                     SegKind::Mac => out.push_str(&format!(
                         "op mac u={} a={} b={} in={} -> s{}\n",
-                        dump_unit(self.mac.unit[i]),
-                        self.mac.a[i],
-                        self.mac.b[i],
-                        dump_slots(&self.driver_slots, self.mac.in0[i]),
-                        self.mac.out[i]
+                        dump_unit(self.mac[i].unit),
+                        self.mac[i].a,
+                        self.mac[i].b,
+                        dump_slots(&self.driver_slots, self.mac[i].in0),
+                        self.mac[i].out
                     )),
                     SegKind::MulVar => out.push_str(&format!(
                         "op mul.var u={}{} in0={} in1={} -> s{}\n",
-                        dump_unit(self.mulvar.unit[i]),
-                        dump_imp(&self.mulvar.imp[i]),
-                        dump_slots(&self.driver_slots, self.mulvar.in0[i]),
-                        dump_slots(&self.driver_slots, self.mulvar.in1[i]),
-                        self.mulvar.out[i]
+                        dump_unit(self.mulvar[i].unit),
+                        dump_imp(&self.mulvar[i].imp),
+                        dump_slots(&self.driver_slots, self.mulvar[i].in0),
+                        dump_slots(&self.driver_slots, self.mulvar[i].in1),
+                        self.mulvar[i].out
                     )),
                     SegKind::Fanout => out.push_str(&format!(
                         "op fanout u={}{} in={} -> s{}..s{} ({})\n",
-                        dump_unit(self.fanout.unit[i]),
-                        dump_imp(&self.fanout.imp[i]),
-                        dump_slots(&self.driver_slots, self.fanout.in0[i]),
-                        self.fanout.out0[i],
-                        self.fanout.out0[i] + self.fanout.branches[i] - 1,
-                        self.fanout.branches[i]
+                        dump_unit(self.fanout[i].unit),
+                        dump_imp(&self.fanout[i].imp),
+                        dump_slots(&self.driver_slots, self.fanout[i].in0),
+                        self.fanout[i].out0,
+                        self.fanout[i].out0 + self.fanout[i].branches - 1,
+                        self.fanout[i].branches
                     )),
                     SegKind::Lut => out.push_str(&format!(
                         "op lut u={} in={} -> s{}\n",
-                        dump_unit(self.lut.unit[i]),
-                        dump_slots(&self.driver_slots, self.lut.in0[i]),
-                        self.lut.out[i]
+                        dump_unit(self.lut[i].unit),
+                        dump_slots(&self.driver_slots, self.lut[i].in0),
+                        self.lut[i].out
                     )),
                     SegKind::Sink => out.push_str(&format!(
                         "op sink in={} -> s{}\n",
-                        dump_slots(&self.driver_slots, self.sink.in0[i]),
-                        self.sink.out[i]
+                        dump_slots(&self.driver_slots, self.sink[i].in0),
+                        self.sink[i].out
                     )),
                 }
             }
@@ -896,229 +1015,45 @@ impl OptimizedPlan {
     }
 }
 
-/// One run's view of a cached [`OptimizedPlan`] — the optimized counterpart
-/// of [`crate::plan::PlanRun`]. Only reachable when no fault plan is armed,
-/// so there is no `distort` step anywhere in the eval.
-pub(crate) struct OptRun<'a> {
-    plan: &'a OptimizedPlan,
-    /// Per-run constants for the non-folded DAC sources.
-    dac_values: Vec<f64>,
-    /// Folded DAC constants: `(slot, imp-applied value)` — written (and
-    /// clipped) once into the tracker on the first eval, then left alone
-    /// (nothing else writes those slots).
-    const_values: Vec<(u32, f64)>,
-    signals: Vec<Option<&'a InputSignal>>,
-    /// Interior-mutable because [`Evaluator::eval_circuit`] takes `&self`.
-    primed: Cell<bool>,
-}
-
-impl<'a> OptRun<'a> {
-    /// Binds the optimized plan to one run's register/signal state.
-    pub(crate) fn bind(plan: &'a OptimizedPlan, c: &Compiled<'a>) -> Self {
-        let dac_values = plan
-            .dac_sources
-            .iter()
-            .map(|src| c.registers.dac_values.get(&src.dac).copied().unwrap_or(0.0))
-            .collect();
-        let const_values = plan
-            .const_dacs
-            .iter()
-            .map(|src| {
-                let v = c.registers.dac_values.get(&src.dac).copied().unwrap_or(0.0);
-                (src.out, src.imp.apply(v))
-            })
-            .collect();
-        let signals = plan
-            .input_sources
-            .iter()
-            .map(|src| {
-                let enabled = c
-                    .registers
-                    .inputs_enabled
-                    .get(&src.channel)
-                    .copied()
-                    .unwrap_or(false);
-                if enabled {
-                    c.signals.get(&src.channel)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        OptRun {
-            plan,
-            dac_values,
-            const_values,
-            signals,
-            primed: Cell::new(false),
-        }
-    }
-
-    /// Sum of driver currents over a CSR range — same fold order as
-    /// [`crate::plan::PlanRun`].
-    #[inline]
-    fn sum(&self, range: DriverRange, values: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &s in &self.plan.driver_slots[range.start as usize..range.end as usize] {
-            acc += values[s as usize];
-        }
-        acc
-    }
-
-    /// Clips to full scale, recording range usage and clip events.
-    #[inline]
-    fn clip(
-        &self,
-        value: f64,
-        slot: usize,
-        max_abs: &mut [f64],
-        clipped: &mut [bool],
-        track: bool,
-    ) -> f64 {
-        let fs = self.plan.full_scale;
-        if track {
-            let mag = value.abs();
-            if mag > max_abs[slot] {
-                max_abs[slot] = mag;
-            }
-            if mag > fs {
-                clipped[slot] = true;
-            }
-        }
-        value.clamp(-fs, fs)
+/// Short deterministic unit label for tape dumps (`int0`, `mul3`, …).
+fn dump_unit(unit: UnitId) -> String {
+    match unit {
+        UnitId::Integrator(i) => format!("int{i}"),
+        UnitId::Multiplier(i) => format!("mul{i}"),
+        UnitId::Fanout(i) => format!("fan{i}"),
+        UnitId::Adc(i) => format!("adc{i}"),
+        UnitId::Dac(i) => format!("dac{i}"),
+        UnitId::Lut(i) => format!("lut{i}"),
+        UnitId::AnalogInput(i) => format!("ain{i}"),
+        UnitId::AnalogOutput(i) => format!("aout{i}"),
     }
 }
 
-impl Evaluator for OptRun<'_> {
-    fn min_slots(&self) -> usize {
-        self.plan.n_slots
+/// Imperfection suffix for tape dumps: empty for an ideal block, the four
+/// affine terms otherwise.
+fn dump_imp(imp: &Imp) -> String {
+    if imp.is_identity() {
+        String::new()
+    } else {
+        format!(" imp=({},{},{},{})", imp.f1, imp.f2, imp.o1, imp.o2)
     }
+}
 
-    fn eval_circuit(
-        &self,
-        t: f64,
-        state: &[f64],
-        du: &mut [f64],
-        tracker: &mut Tracker,
-        track: bool,
-    ) {
-        let plan = self.plan;
-        let fs = plan.full_scale;
-        let Tracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
-
-        // Folded DAC constants: written once per run. The first eval is
-        // always a k1 stage with `track` set, so range usage records
-        // exactly what the unfolded per-eval writes would have recorded.
-        if !self.primed.get() {
-            for &(slot, v) in &self.const_values {
-                let s = slot as usize;
-                values[s] = self.clip(v, s, max_abs, clipped, track);
-            }
-            self.primed.set(true);
-        }
-
-        // Sources: integrator outputs (their state, through imperfection).
-        for (slot_state, src) in plan.int_sources.iter().enumerate() {
-            let out = src.imp.apply(state[slot_state]);
-            let s = src.out as usize;
-            values[s] = out.clamp(-fs, fs);
-            if track {
-                let mag = out.abs();
-                if mag > max_abs[s] {
-                    max_abs[s] = mag;
-                }
-                if mag > fs {
-                    clipped[s] = true;
-                }
-            }
-        }
-        // Sources: non-folded DAC constants.
-        for (src, &value) in plan.dac_sources.iter().zip(&self.dac_values) {
-            let out = src.imp.apply(value);
-            let s = src.out as usize;
-            values[s] = self.clip(out, s, max_abs, clipped, track);
-        }
-        // Sources: external analog inputs.
-        for (src, signal) in plan.input_sources.iter().zip(&self.signals) {
-            let raw = signal.map(|f| f(t)).unwrap_or(0.0);
-            let s = src.out as usize;
-            values[s] = self.clip(raw, s, max_abs, clipped, track);
-        }
-
-        // The scheduled tape: one dispatch per homogeneous segment.
-        for seg in &plan.segments {
-            let r = seg.start as usize..seg.end as usize;
-            match seg.kind {
-                SegKind::MulGain => {
-                    let l = &plan.mulgain;
-                    for i in r {
-                        let v = l.imp[i].apply(l.gain[i] * self.sum(l.in0[i], values));
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::Mac => {
-                    let l = &plan.mac;
-                    for i in r {
-                        let v = l.a[i].mul_add(self.sum(l.in0[i], values), l.b[i]);
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::MulVar => {
-                    let l = &plan.mulvar;
-                    for i in r {
-                        let ideal = self.sum(l.in0[i], values) * self.sum(l.in1[i], values) / fs;
-                        let v = l.imp[i].apply(ideal);
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::Fanout => {
-                    let l = &plan.fanout;
-                    for i in r {
-                        let v = l.imp[i].apply(self.sum(l.in0[i], values));
-                        for p in 0..l.branches[i] {
-                            let s = (l.out0[i] + p) as usize;
-                            values[s] = self.clip(v, s, max_abs, clipped, track);
-                        }
-                    }
-                }
-                SegKind::Lut => {
-                    let l = &plan.lut;
-                    for i in r {
-                        let v = l.lut[i].evaluate(self.sum(l.in0[i], values));
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-                SegKind::Sink => {
-                    let l = &plan.sink;
-                    for i in r {
-                        let v = self.sum(l.in0[i], values);
-                        let s = l.out[i] as usize;
-                        values[s] = self.clip(v, s, max_abs, clipped, track);
-                    }
-                }
-            }
-        }
-
-        // Integrator derivatives: ω_u times the summed input current.
-        for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            du[slot_state] = plan.omega * self.sum(range, values);
-        }
-    }
+/// A driver-slot list for tape dumps: `[s1 s4]`, `[]` when unconnected.
+fn dump_slots(driver_slots: &[u32], range: DriverRange) -> String {
+    let slots: Vec<String> = driver_slots[range.start as usize..range.end as usize]
+        .iter()
+        .map(|s| format!("s{s}"))
+        .collect();
+    format!("[{}]", slots.join(" "))
 }
 
 /// Sums each lane's driver currents over a CSR range into `acc[..k]` — the
-/// optimized-plan counterpart of the batched accumulator sweep in
-/// [`crate::plan`].
+/// same per-lane fold order as [`TapeRun::sum`] (`0.0 + v₀ + v₁ + …` over
+/// the connection order, as the reference `input_sum`), restructured so the
+/// lane dimension is the innermost (contiguous, vectorizable) loop.
 #[inline]
-fn sum_into(plan: &OptimizedPlan, k: usize, range: DriverRange, values: &[f64], acc: &mut [f64]) {
+fn sum_into(plan: &Tape, k: usize, range: DriverRange, values: &[f64], acc: &mut [f64]) {
     let acc = &mut acc[..k];
     acc.fill(0.0);
     for &s in &plan.driver_slots[range.start as usize..range.end as usize] {
@@ -1129,12 +1064,27 @@ fn sum_into(plan: &OptimizedPlan, k: usize, range: DriverRange, values: &[f64], 
     }
 }
 
-/// The K-lane batched view of a cached [`OptimizedPlan`] — the optimized
-/// counterpart of [`crate::plan::BatchRun`]. Lanes differ only in their DAC
-/// constants (dynamic and folded alike), exactly as in the unoptimized
-/// batch; fault plans never reach this path.
-pub(crate) struct OptBatchRun<'a> {
-    plan: &'a OptimizedPlan,
+/// One run's K-lane view of a (shared, possibly cached) [`Tape`]: one RK4
+/// sweep advances K right-hand sides in lockstep, and a sequential run is
+/// the one-lane case.
+///
+/// All per-lane arrays are column-major SoA — `values[slot * k + lane]` — so
+/// the inner loop of every tape op is a tight sweep over the K lanes of one
+/// slot. Each lane performs **exactly** the floating-point sequence a
+/// one-lane run would perform for it alone: the tape, process variation,
+/// and fault schedule are shared (loaded once per op, applied per lane),
+/// and fault adjustments are pure functions of `(unit, t, value)`, so a
+/// lane's trajectory is bit-identical to a sequential run started from the
+/// same chip instant. Lanes differ only in their DAC constants (dynamic and
+/// folded alike) — the K RHS snapshots the batch carries.
+pub(crate) struct TapeRun<'a> {
+    plan: &'a Tape,
+    /// Scheduled runtime faults, applied by both sweep bodies. Fault-armed
+    /// runs lower under `PassConfig::none()`, so these only ever meet
+    /// unit-preserving tapes.
+    faults: Option<&'a FaultPlan>,
+    /// Chip-lifetime second at which this run starts.
+    t_offset: f64,
     k: usize,
     /// Per-lane non-folded DAC constants: `dac_values[src_idx * k + lane]`.
     dac_values: Vec<f64>,
@@ -1148,11 +1098,11 @@ pub(crate) struct OptBatchRun<'a> {
     primed: bool,
 }
 
-impl<'a> OptBatchRun<'a> {
-    /// Binds the optimized plan to K lanes' DAC register maps plus the
-    /// shared run state from `c`.
+impl<'a> TapeRun<'a> {
+    /// Binds the tape to K lanes' DAC register maps plus the shared run
+    /// state (faults, lifetime offset, input signals) from `c`.
     pub(crate) fn bind(
-        plan: &'a OptimizedPlan,
+        plan: &'a Tape,
         c: &Compiled<'a>,
         lane_dacs: &[&BTreeMap<usize, f64>],
     ) -> Self {
@@ -1188,8 +1138,10 @@ impl<'a> OptBatchRun<'a> {
                 }
             })
             .collect();
-        OptBatchRun {
+        TapeRun {
             plan,
+            faults: c.faults,
+            t_offset: c.t_offset,
             k,
             dac_values,
             const_slots,
@@ -1201,7 +1153,8 @@ impl<'a> OptBatchRun<'a> {
         }
     }
 
-    /// Lane `lane`'s sum of driver currents over a CSR range.
+    /// Lane `lane`'s sum of driver currents over a CSR range — the same
+    /// fold order as the reference `input_sum`.
     #[inline]
     fn sum(&self, range: DriverRange, values: &[f64], lane: usize) -> f64 {
         let k = self.k;
@@ -1210,6 +1163,17 @@ impl<'a> OptBatchRun<'a> {
             acc += values[s as usize * k + lane];
         }
         acc
+    }
+
+    /// Applies any active analog-path faults, identically to the reference
+    /// `distort` — the draw is shared per `(unit, t)` across lanes because
+    /// the adjustment is a pure counter-based function.
+    #[inline]
+    fn distort(&self, unit: UnitId, t: f64, value: f64) -> f64 {
+        match self.faults {
+            Some(plan) => plan.analog_adjust(unit, self.t_offset + t, value),
+            None => value,
+        }
     }
 
     /// Clips to full scale against the lane-expanded index.
@@ -1235,33 +1199,60 @@ impl<'a> OptBatchRun<'a> {
         value.clamp(-fs, fs)
     }
 
-    /// The branch-free all-lanes-live evaluation over the scheduled tape.
+    /// The branch-free all-lanes-live evaluation over the scheduled tape:
+    /// per op, the operand sums are swept into a lane-wide accumulator
+    /// first ([`sum_into`]), then one contiguous lane loop applies the op's
+    /// arithmetic — the same ops in the same order as
+    /// [`Self::eval_masked`] with the `active` mask peeled away, so the
+    /// results match bit for bit while the inner loops vectorize.
+    /// `FAULTS` compiles the per-unit fault hooks in for fault-armed runs
+    /// and out of fault-free ones.
+    ///
     /// `KC` is the compile-time lane count for the monomorphized widths, or
     /// 0 for the runtime-width instantiation.
-    fn eval_unmasked<const KC: usize>(
+    fn eval_unmasked<const KC: usize, const FAULTS: bool>(
         &mut self,
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
     ) {
         let plan = self.plan;
         let k = if KC == 0 { self.k } else { KC };
         let fs = plan.full_scale;
-        let mut acc0 = std::mem::take(&mut self.scratch0);
-        let mut acc1 = std::mem::take(&mut self.scratch1);
+        let mut scratch0 = std::mem::take(&mut self.scratch0);
+        let mut scratch1 = std::mem::take(&mut self.scratch1);
+        // The lane-wide accumulators: stack arrays at the monomorphized
+        // widths, which the optimizer keeps in registers (a one-lane sweep
+        // then sums like a scalar loop), the heap scratch at runtime width.
+        let (mut lanes0, mut lanes1) = ([0.0; KC], [0.0; KC]);
+        let (acc0, acc1): (&mut [f64], &mut [f64]) = if KC == 0 {
+            (&mut scratch0, &mut scratch1)
+        } else {
+            (&mut lanes0, &mut lanes1)
+        };
         let dac_values: &[f64] = &self.dac_values;
+        // The per-unit fault hooks, compiled out of fault-free sweeps.
+        let distort = |unit: UnitId, value: f64| {
+            if FAULTS {
+                self.distort(unit, t, value)
+            } else {
+                value
+            }
+        };
         let signals = &self.signals;
-        let BatchTracker {
+        let Tracker {
             values,
             max_abs,
             clipped,
         } = tracker;
 
-        // Same store/track shape as the unoptimized batched path: the
-        // `track` branch hoisted out of the lane loop, exact-length
-        // subslices so the untracked loop vectorizes.
+        // Maps `$src` (a lane-wide slice) through `$v` into the output
+        // column at `$col`, tracking range usage when asked. The `track`
+        // branch is hoisted out of the lane loop, and both bodies walk
+        // exact-length subslices so the bounds checks lift out and the
+        // untracked loop vectorizes.
         macro_rules! store_map {
             ($col:expr, $src:expr, |$x:ident| $v:expr) => {{
                 let col = $col;
@@ -1293,21 +1284,26 @@ impl<'a> OptBatchRun<'a> {
 
         // Sources: integrator outputs (their state, through imperfection).
         for (slot_state, src) in plan.int_sources.iter().enumerate() {
-            let imp = src.imp;
-            store_map!(src.out as usize * k, state[slot_state * k..], |x| imp
-                .apply(x));
+            let (unit, imp) = (src.unit, src.imp);
+            store_map!(src.out as usize * k, state[slot_state * k..], |x| distort(
+                unit,
+                imp.apply(x)
+            ));
         }
         // Sources: non-folded DAC constants.
         for (src_idx, src) in plan.dac_sources.iter().enumerate() {
-            let imp = src.imp;
-            store_map!(src.out as usize * k, dac_values[src_idx * k..], |x| imp
-                .apply(x));
+            let (unit, imp) = (src.unit, src.imp);
+            store_map!(
+                src.out as usize * k,
+                dac_values[src_idx * k..],
+                |x| distort(unit, imp.apply(x))
+            );
         }
         // Sources: external analog inputs, evaluated once and broadcast.
         for (src, signal) in plan.input_sources.iter().zip(signals) {
             let raw = signal.map(|f| f(t)).unwrap_or(0.0);
             acc0[..k].fill(raw);
-            store_map!(src.out as usize * k, acc0, |x| x);
+            store_map!(src.out as usize * k, acc0, |x| distort(src.unit, x));
         }
 
         // The scheduled tape: one dispatch per segment, lane sweeps inside.
@@ -1315,59 +1311,59 @@ impl<'a> OptBatchRun<'a> {
             let r = seg.start as usize..seg.end as usize;
             match seg.kind {
                 SegKind::MulGain => {
-                    let l = &plan.mulgain;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let (gain, imp) = (l.gain[i], l.imp[i]);
-                        store_map!(l.out[i] as usize * k, acc0, |x| imp.apply(gain * x));
+                    for op in &plan.mulgain[r] {
+                        sum_into(plan, k, op.in0, values, acc0);
+                        let (unit, gain, imp) = (op.unit, op.gain, op.imp);
+                        store_map!(op.out as usize * k, acc0, |x| distort(
+                            unit,
+                            imp.apply(gain * x)
+                        ));
                     }
                 }
                 SegKind::Mac => {
-                    let l = &plan.mac;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let (a, b) = (l.a[i], l.b[i]);
-                        store_map!(l.out[i] as usize * k, acc0, |x| a.mul_add(x, b));
+                    for op in &plan.mac[r] {
+                        sum_into(plan, k, op.in0, values, acc0);
+                        let (a, b) = (op.a, op.b);
+                        store_map!(op.out as usize * k, acc0, |x| a.mul_add(x, b));
                     }
                 }
                 SegKind::MulVar => {
-                    let l = &plan.mulvar;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        sum_into(plan, k, l.in1[i], values, &mut acc1);
-                        let imp = l.imp[i];
+                    for op in &plan.mulvar[r] {
+                        sum_into(plan, k, op.in0, values, acc0);
+                        sum_into(plan, k, op.in1, values, acc1);
+                        let (unit, imp) = (op.unit, op.imp);
                         for (a, &b) in acc0[..k].iter_mut().zip(&acc1[..k]) {
                             *a = *a * b / fs;
                         }
-                        store_map!(l.out[i] as usize * k, acc0, |x| imp.apply(x));
+                        store_map!(op.out as usize * k, acc0, |x| distort(unit, imp.apply(x)));
                     }
                 }
                 SegKind::Fanout => {
-                    let l = &plan.fanout;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let imp = l.imp[i];
+                    for op in &plan.fanout[r] {
+                        sum_into(plan, k, op.in0, values, acc0);
+                        let (unit, imp) = (op.unit, op.imp);
                         for a in acc0[..k].iter_mut() {
-                            *a = imp.apply(*a);
+                            *a = distort(unit, imp.apply(*a));
                         }
-                        for port in 0..l.branches[i] {
-                            store_map!((l.out0[i] + port) as usize * k, acc0, |x| x);
+                        for port in 0..op.branches {
+                            store_map!((op.out0 + port) as usize * k, acc0, |x| x);
                         }
                     }
                 }
                 SegKind::Lut => {
-                    let l = &plan.lut;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        let lut = &l.lut[i];
-                        store_map!(l.out[i] as usize * k, acc0, |x| lut.evaluate(x));
+                    for op in &plan.lut[r] {
+                        sum_into(plan, k, op.in0, values, acc0);
+                        let (unit, lut) = (op.unit, &op.lut);
+                        store_map!(op.out as usize * k, acc0, |x| distort(
+                            unit,
+                            lut.evaluate(x)
+                        ));
                     }
                 }
                 SegKind::Sink => {
-                    let l = &plan.sink;
-                    for i in r {
-                        sum_into(plan, k, l.in0[i], values, &mut acc0);
-                        store_map!(l.out[i] as usize * k, acc0, |x| x);
+                    for op in &plan.sink[r] {
+                        sum_into(plan, k, op.in0, values, acc0);
+                        store_map!(op.out as usize * k, acc0, |x| x);
                     }
                 }
             }
@@ -1375,18 +1371,22 @@ impl<'a> OptBatchRun<'a> {
 
         // Integrator derivatives: ω_u times the summed input current.
         for (slot_state, &range) in plan.derivs.iter().enumerate() {
-            sum_into(plan, k, range, values, &mut acc0);
+            sum_into(plan, k, range, values, acc0);
             let out = &mut du[slot_state * k..][..k];
             for (o, &a) in out.iter_mut().zip(&acc0[..k]) {
                 *o = plan.omega * a;
             }
         }
 
-        self.scratch0 = acc0;
-        self.scratch1 = acc1;
+        self.scratch0 = scratch0;
+        self.scratch1 = scratch1;
     }
 
-    /// The general evaluation with per-lane `active` masking.
+    /// The general evaluation: per-lane `active` masking and per-`(unit, t)`
+    /// fault adjustments where the reference evaluator applies them —
+    /// sources, gain and variable multipliers, fanouts (once, before the
+    /// branch clips), and LUTs. Sinks are never distorted, and fused MACs
+    /// only exist on pass-enabled tapes, which never run fault-armed.
     // The lane loops index `active` plus several SoA columns in lockstep; a
     // range loop is the clear form, not a needless one.
     #[allow(clippy::needless_range_loop)]
@@ -1395,14 +1395,14 @@ impl<'a> OptBatchRun<'a> {
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
         active: &[bool],
     ) {
         let plan = self.plan;
         let k = self.k;
         let fs = plan.full_scale;
-        let BatchTracker {
+        let Tracker {
             values,
             max_abs,
             clipped,
@@ -1415,7 +1415,7 @@ impl<'a> OptBatchRun<'a> {
                 if !active[lane] {
                     continue;
                 }
-                let out = src.imp.apply(state[slot_state * k + lane]);
+                let out = self.distort(src.unit, t, src.imp.apply(state[slot_state * k + lane]));
                 let idx = s * k + lane;
                 values[idx] = out.clamp(-fs, fs);
                 if track {
@@ -1436,12 +1436,17 @@ impl<'a> OptBatchRun<'a> {
                 if !active[lane] {
                     continue;
                 }
-                let out = src.imp.apply(self.dac_values[src_idx * k + lane]);
+                let out = self.distort(
+                    src.unit,
+                    t,
+                    src.imp.apply(self.dac_values[src_idx * k + lane]),
+                );
                 let idx = s * k + lane;
                 values[idx] = self.clip(out, idx, max_abs, clipped, track);
             }
         }
-        // Sources: external analog inputs (shared pure functions of time).
+        // Sources: external analog inputs (shared pure functions of time,
+        // evaluated once per eval; no imperfection applied).
         for (src, signal) in plan.input_sources.iter().zip(&self.signals) {
             let raw = signal.map(|f| f(t)).unwrap_or(0.0);
             let s = src.out as usize;
@@ -1449,8 +1454,9 @@ impl<'a> OptBatchRun<'a> {
                 if !active[lane] {
                     continue;
                 }
+                let out = self.distort(src.unit, t, raw);
                 let idx = s * k + lane;
-                values[idx] = self.clip(raw, idx, max_abs, clipped, track);
+                values[idx] = self.clip(out, idx, max_abs, clipped, track);
             }
         }
 
@@ -1459,88 +1465,85 @@ impl<'a> OptBatchRun<'a> {
             let r = seg.start as usize..seg.end as usize;
             match seg.kind {
                 SegKind::MulGain => {
-                    let l = &plan.mulgain;
-                    for i in r {
-                        let s = l.out[i] as usize;
+                    for op in &plan.mulgain[r] {
+                        let s = op.out as usize;
                         for lane in 0..k {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = l.imp[i].apply(l.gain[i] * self.sum(l.in0[i], values, lane));
+                            let ideal = op.gain * self.sum(op.in0, values, lane);
+                            let v = self.distort(op.unit, t, op.imp.apply(ideal));
                             let idx = s * k + lane;
                             values[idx] = self.clip(v, idx, max_abs, clipped, track);
                         }
                     }
                 }
                 SegKind::Mac => {
-                    let l = &plan.mac;
-                    for i in r {
-                        let s = l.out[i] as usize;
+                    for op in &plan.mac[r] {
+                        let s = op.out as usize;
                         for lane in 0..k {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = l.a[i].mul_add(self.sum(l.in0[i], values, lane), l.b[i]);
+                            let v = op.a.mul_add(self.sum(op.in0, values, lane), op.b);
                             let idx = s * k + lane;
                             values[idx] = self.clip(v, idx, max_abs, clipped, track);
                         }
                     }
                 }
                 SegKind::MulVar => {
-                    let l = &plan.mulvar;
-                    for i in r {
-                        let s = l.out[i] as usize;
+                    for op in &plan.mulvar[r] {
+                        let s = op.out as usize;
                         for lane in 0..k {
                             if !active[lane] {
                                 continue;
                             }
-                            let ideal = self.sum(l.in0[i], values, lane)
-                                * self.sum(l.in1[i], values, lane)
+                            let ideal = self.sum(op.in0, values, lane)
+                                * self.sum(op.in1, values, lane)
                                 / fs;
-                            let v = l.imp[i].apply(ideal);
+                            let v = self.distort(op.unit, t, op.imp.apply(ideal));
                             let idx = s * k + lane;
                             values[idx] = self.clip(v, idx, max_abs, clipped, track);
                         }
                     }
                 }
                 SegKind::Fanout => {
-                    let l = &plan.fanout;
-                    for i in r {
+                    for op in &plan.fanout[r] {
                         for lane in 0..k {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = l.imp[i].apply(self.sum(l.in0[i], values, lane));
-                            for port in 0..l.branches[i] {
-                                let idx = (l.out0[i] + port) as usize * k + lane;
+                            let ideal = op.imp.apply(self.sum(op.in0, values, lane));
+                            let v = self.distort(op.unit, t, ideal);
+                            for port in 0..op.branches {
+                                let idx = (op.out0 + port) as usize * k + lane;
                                 values[idx] = self.clip(v, idx, max_abs, clipped, track);
                             }
                         }
                     }
                 }
                 SegKind::Lut => {
-                    let l = &plan.lut;
-                    for i in r {
-                        let s = l.out[i] as usize;
+                    for op in &plan.lut[r] {
+                        let s = op.out as usize;
                         for lane in 0..k {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = l.lut[i].evaluate(self.sum(l.in0[i], values, lane));
+                            let raw = op.lut.evaluate(self.sum(op.in0, values, lane));
+                            let v = self.distort(op.unit, t, raw);
                             let idx = s * k + lane;
                             values[idx] = self.clip(v, idx, max_abs, clipped, track);
                         }
                     }
                 }
                 SegKind::Sink => {
-                    let l = &plan.sink;
-                    for i in r {
-                        let s = l.out[i] as usize;
+                    for op in &plan.sink[r] {
+                        let s = op.out as usize;
                         for lane in 0..k {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = self.sum(l.in0[i], values, lane);
+                            let v = self.sum(op.in0, values, lane);
                             let idx = s * k + lane;
                             values[idx] = self.clip(v, idx, max_abs, clipped, track);
                         }
@@ -1561,7 +1564,7 @@ impl<'a> OptBatchRun<'a> {
     }
 }
 
-impl LaneEvaluator for OptBatchRun<'_> {
+impl LaneEvaluator for TapeRun<'_> {
     fn lanes(&self) -> usize {
         self.k
     }
@@ -1570,12 +1573,19 @@ impl LaneEvaluator for OptBatchRun<'_> {
         self.plan.n_slots
     }
 
+    /// Evaluates the circuit at time `t` for all **active** lanes at once.
+    /// `state`/`du` are `n_states * k`, the tracker arrays `n_slots * k`,
+    /// all column-major (`[index * k + lane]`).
+    ///
+    /// Dispatches between two bodies performing the identical per-lane
+    /// floating-point sequence: an unmasked fast path while every lane is
+    /// live, and the masked path once some lane has retired.
     fn eval_lanes(
         &mut self,
         t: f64,
         state: &[f64],
         du: &mut [f64],
-        tracker: &mut BatchTracker,
+        tracker: &mut Tracker,
         track: bool,
         active: &[bool],
     ) {
@@ -1604,12 +1614,20 @@ impl LaneEvaluator for OptBatchRun<'_> {
             }
         }
         if active.iter().all(|&a| a) {
-            match self.k {
-                2 => self.eval_unmasked::<2>(t, state, du, tracker, track),
-                4 => self.eval_unmasked::<4>(t, state, du, tracker, track),
-                8 => self.eval_unmasked::<8>(t, state, du, tracker, track),
-                16 => self.eval_unmasked::<16>(t, state, du, tracker, track),
-                _ => self.eval_unmasked::<0>(t, state, du, tracker, track),
+            // Monomorphize the hot widths: with the lane count a compile-
+            // time constant, every lane loop unrolls and vectorizes and the
+            // accumulator fills stop being runtime-length memsets. The
+            // one-lane arms are what keep a sequential run as fast as a
+            // dedicated scalar evaluator would be.
+            match (self.k, self.faults.is_some()) {
+                (1, false) => self.eval_unmasked::<1, false>(t, state, du, tracker, track),
+                (2, false) => self.eval_unmasked::<2, false>(t, state, du, tracker, track),
+                (4, false) => self.eval_unmasked::<4, false>(t, state, du, tracker, track),
+                (8, false) => self.eval_unmasked::<8, false>(t, state, du, tracker, track),
+                (16, false) => self.eval_unmasked::<16, false>(t, state, du, tracker, track),
+                (_, false) => self.eval_unmasked::<0, false>(t, state, du, tracker, track),
+                (1, true) => self.eval_unmasked::<1, true>(t, state, du, tracker, track),
+                (_, true) => self.eval_unmasked::<0, true>(t, state, du, tracker, track),
             }
         } else {
             self.eval_masked(t, state, du, tracker, track, active);

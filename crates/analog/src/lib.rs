@@ -76,7 +76,6 @@ pub mod lut;
 pub mod netlist;
 pub mod nonideal;
 pub mod passes;
-pub mod plan;
 pub mod spi;
 pub mod units;
 

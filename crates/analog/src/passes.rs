@@ -21,8 +21,8 @@
 //! 5. `dce` — ops whose outputs reach neither an integrator input nor a
 //!    sink (ADC / analog output) are removed.
 //!
-//! **Tolerance contract.** `PassConfig::none()` plans are bit-identical to
-//! the unoptimized tape (and hence to `EvalStrategy::Reference`). Any
+//! **Tolerance contract.** `PassConfig::none()` tapes are bit-identical to
+//! `EvalStrategy::Reference`. Any
 //! enabled pass may reassociate floating-point arithmetic (folding bakes
 //! `imp.apply` in a different association; fusion multiplies affine
 //! coefficients through), so optimized results are only guaranteed to match
@@ -30,14 +30,15 @@
 //! reference run latches **no** overflow exceptions — fusion elides
 //! intermediate clips, so saturating circuits may diverge beyond the bound.
 //! Eliminated ops report zero range usage and never latch exceptions.
-//! Optimized plans never run with an armed fault plan: the engine falls
-//! back to the unoptimized tape so fault semantics stay bit-exact.
+//! Optimized tapes never run with an armed fault plan: the engine lowers
+//! fault-armed runs under `PassConfig::none()` so fault semantics stay
+//! bit-exact.
 
 use crate::ir::IrGraph;
 
-/// Which optimization passes run when lowering a committed netlist into an
-/// optimized plan. The default ([`PassConfig::none`]) disables them all,
-/// keeping every run on the bit-exact unoptimized tape.
+/// Which optimization passes run when lowering a committed netlist into
+/// the compiled tape. The default ([`PassConfig::none`]) disables them all,
+/// keeping every run on the bit-exact tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassConfig {
     /// Fold fixed DAC inputs into constants computed once per run.
@@ -54,7 +55,7 @@ pub struct PassConfig {
 }
 
 impl PassConfig {
-    /// No passes: the optimized path is bypassed entirely and runs stay
+    /// No passes: the tape is lowered unoptimized and runs stay
     /// bit-identical to [`crate::engine::EvalStrategy::Reference`].
     pub fn none() -> Self {
         PassConfig::default()

@@ -308,13 +308,14 @@ fn arbitrary_chip(rng: &mut Rng64) -> Option<aa_analog::AnalogChip> {
     Some(chip)
 }
 
-/// The tentpole's differential guarantee: the flat-array [`CompiledPlan`]
-/// path produces **bit-identical** run reports to the tree-walking
-/// reference evaluator — same states, waveforms, exceptions, and range
-/// usage — across random netlists, process variation draws, and active
-/// fault plans.
+/// The tentpole's differential guarantee: the compiled IR tape
+/// ([`EvalStrategy::Compiled`], lowered under `PassConfig::none()`)
+/// produces **bit-identical** run reports to the tree-walking reference
+/// evaluator — same states, waveforms, exceptions, and range usage —
+/// across random netlists, process variation draws, and active fault
+/// plans.
 ///
-/// [`CompiledPlan`]: aa_analog::plan::CompiledPlan
+/// [`EvalStrategy::Compiled`]: aa_analog::EvalStrategy::Compiled
 #[test]
 fn compiled_plan_is_bit_identical_to_reference_evaluator() {
     use aa_analog::{EngineOptions, EvalStrategy};

@@ -420,10 +420,11 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     }
 
     // 1d. Plan-IR optimization passes: sequential RK4 throughput of the
-    // pass-optimized SoA tape against the unoptimized linear tape on the
-    // solver-mapped 2D Poisson circuit (n = 16) — the pipeline's headline
-    // number. Both paths run the same fixed τ span (steady detection off),
-    // so the ratio isolates per-step evaluation cost. The per-pass op
+    // `PassConfig::full()` tape against the `PassConfig::none()` tape on
+    // the solver-mapped 2D Poisson circuit (n = 16) — the pipeline's
+    // headline number. Both tapes run through the same one-lane evaluator
+    // over the same fixed τ span (steady detection off), so the ratio
+    // isolates what the passes remove from each step. The per-pass op
     // counts are written to PASS_STATS.json as a non-gating artifact.
     let ir_l = 4usize;
     let ir_n = ir_l * ir_l;
@@ -442,7 +443,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         passes,
         ..EngineOptions::default()
     };
-    // Warm both plans so neither best-of window pays the one-time lowering.
+    // Warm both tapes so neither best-of window pays the one-time lowering.
     ir_chip
         .exec(&ir_options(aa_analog::PassConfig::none()))
         .expect("warmup");
@@ -459,8 +460,8 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     let ir_speedup = opt_sps / plain_sps;
     let pass_log = ir_chip.pass_stats();
     println!("\nplan-IR passes (poisson 2d n = {ir_n}, {plain_steps} RK4 steps)");
-    println!("  unoptimized tape: {plain_s:9.4} s  ({plain_sps:11.0} steps/s)");
-    println!("  optimized tape:   {opt_s:9.4} s  ({opt_sps:11.0} steps/s)  — {ir_speedup:.2}x");
+    println!("  none() tape:      {plain_s:9.4} s  ({plain_sps:11.0} steps/s)");
+    println!("  full() tape:      {opt_s:9.4} s  ({opt_sps:11.0} steps/s)  — {ir_speedup:.2}x");
     for stat in &pass_log {
         println!(
             "    pass {}: {} -> {} ops",
@@ -469,7 +470,7 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     }
     records.push(BenchRecord {
         bench: "engine_ir".to_string(),
-        config: format!("poisson 2d n={ir_n}, unoptimized tape"),
+        config: format!("poisson 2d n={ir_n}, passes=none"),
         wall_ms: plain_s * 1e3,
         steps_per_sec: Some(plain_sps),
         requests_per_sec: None,
@@ -517,16 +518,17 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     )
     .expect("write PASS_STATS.json");
     println!("  wrote PASS_STATS.json ({} passes)", pass_log.len());
-    // The pass-pipeline gate: the optimized tape must hold a ≥1.15x
-    // sequential advantage. Same single-core escape hatch as above.
+    // The pass-pipeline gate: the full() tape must hold a ≥1.15x sequential
+    // advantage over the none() tape. Same single-core escape hatch as
+    // above.
     if cores >= 2 {
         assert!(
             ir_speedup >= 1.15,
-            "engine_ir regression: optimized/unoptimized {ir_speedup:.3}x < 1.15x"
+            "engine_ir regression: full()/none() tape {ir_speedup:.3}x < 1.15x"
         );
     } else if ir_speedup < 1.15 {
         println!(
-            "WARNING: optimized/unoptimized {ir_speedup:.2}x < 1.15x, but only {cores} core \
+            "WARNING: full()/none() tape {ir_speedup:.2}x < 1.15x, but only {cores} core \
              is available (noisy runner — not gating)"
         );
     }

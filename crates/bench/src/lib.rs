@@ -139,8 +139,8 @@ pub struct BenchRecord {
     /// Throughput ratio of the K-lane batched path against serving the same
     /// K right-hand sides sequentially, where applicable.
     pub batched_speedup: Option<f64>,
-    /// Sequential steps/sec ratio of the pass-optimized plan against the
-    /// unoptimized tape on the same problem, where applicable.
+    /// Sequential steps/sec ratio of the `PassConfig::full()` tape against
+    /// the `PassConfig::none()` tape on the same problem, where applicable.
     pub ir_speedup: Option<f64>,
     /// Fleet size of a `fleet_scaling` curve point (chips = shards =
     /// workers at that point), where applicable.

@@ -1,6 +1,6 @@
 //! The in-memory recorder and its exportable snapshot.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::event::{json_string, Event, JournalEntry};
@@ -14,12 +14,24 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 16;
 
 #[derive(Default)]
 struct Store {
-    journal: Vec<JournalEntry>,
+    journal: VecDeque<JournalEntry>,
     /// Entries evicted from the front of the ring.
     dropped: u64,
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, LogHistogram>,
     timings: BTreeMap<&'static str, LogHistogram>,
+}
+
+impl Store {
+    /// Appends to the ring, evicting (and counting) the oldest entry when
+    /// it is full — O(1), so a full journal costs nothing extra per entry.
+    fn append(&mut self, entry: JournalEntry, capacity: usize) {
+        if self.journal.len() >= capacity {
+            self.journal.pop_front();
+            self.dropped += 1;
+        }
+        self.journal.push_back(entry);
+    }
 }
 
 /// A thread-safe recorder that accumulates everything in memory.
@@ -61,27 +73,19 @@ impl MemoryRecorder {
     pub fn snapshot(&self) -> TraceSnapshot {
         let store = self.inner.lock().expect("recorder poisoned");
         TraceSnapshot {
-            journal: store.journal.clone(),
+            journal: store.journal.iter().cloned().collect(),
             dropped_entries: store.dropped,
             counters: store.counters.clone(),
             histograms: store.histograms.clone(),
             timings: store.timings.clone(),
         }
     }
-
-    fn push(&self, entry: JournalEntry) {
-        let mut store = self.inner.lock().expect("recorder poisoned");
-        if store.journal.len() >= self.capacity {
-            store.journal.remove(0);
-            store.dropped += 1;
-        }
-        store.journal.push(entry);
-    }
 }
 
 impl Recorder for MemoryRecorder {
     fn journal(&self, entry: JournalEntry) {
-        self.push(entry);
+        let mut store = self.inner.lock().expect("recorder poisoned");
+        store.append(entry, self.capacity);
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
@@ -117,11 +121,7 @@ impl Recorder for MemoryRecorder {
             let mut theirs = child.inner.lock().expect("recorder poisoned");
             let mut store = self.inner.lock().expect("recorder poisoned");
             for entry in theirs.journal.drain(..) {
-                if store.journal.len() >= self.capacity {
-                    store.journal.remove(0);
-                    store.dropped += 1;
-                }
-                store.journal.push(entry);
+                store.append(entry, self.capacity);
             }
             store.dropped += theirs.dropped;
             for (name, delta) in &theirs.counters {
@@ -310,6 +310,26 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.dropped_entries, 2);
         assert_eq!(snap.deterministic_lines(), vec!["e i=2", "e i=3", "e i=4"]);
+
+        // Overflow through `join`: merged entries evict the parent's oldest
+        // in order, and a child's own evictions add to the dropped count.
+        let child = rec.fork(0);
+        for j in 0..2u64 {
+            child.journal(JournalEntry::Event(Event::new("c").with("j", j)));
+        }
+        rec.join(vec![child]);
+        let snap = rec.snapshot();
+        assert_eq!(snap.dropped_entries, 4);
+        assert_eq!(snap.deterministic_lines(), vec!["e i=4", "c j=0", "c j=1"]);
+
+        let child = rec.fork(1);
+        for j in 0..4u64 {
+            child.journal(JournalEntry::Event(Event::new("d").with("j", j)));
+        }
+        rec.join(vec![child]);
+        let snap = rec.snapshot();
+        assert_eq!(snap.dropped_entries, 4 + 3 + 1);
+        assert_eq!(snap.deterministic_lines(), vec!["d j=1", "d j=2", "d j=3"]);
     }
 
     #[test]

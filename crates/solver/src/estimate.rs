@@ -41,39 +41,20 @@ pub fn predicted_solve_time_s(
     Ok(precision.ln() / (design.omega() * lambda_scaled))
 }
 
-/// Predicted analog time **per request** when up to `columns` same-structure
-/// right-hand sides are coalesced into one batched sweep.
+/// Amortizes a sequential settle-time estimate over a `columns`-wide
+/// coalesced sweep: `estimate / max(columns, 1)`.
 ///
 /// Batched columns advance in lockstep and complete together: one K-lane
 /// sweep settles in the same wall time as a single solve (the settle rate
 /// is a property of the matrix, not of the lane count), so a request
 /// served inside a K-wide sweep is billed `1/K` of the sweep. Judging a
-/// deadline against the sequential [`predicted_solve_time_s`] therefore
-/// over-prices a coalescing fleet by up to the batch width — this is the
-/// estimate admission control should compare deadlines against when
-/// multi-RHS coalescing is enabled. `columns` is floored at 1, which
-/// reproduces the sequential estimate exactly.
+/// deadline against the sequential [`predicted_solve_time_s`] would
+/// over-price a coalescing fleet by up to the batch width. `columns` is
+/// floored at 1, which reproduces the sequential estimate exactly.
 ///
-/// # Errors
-///
-/// As [`predicted_solve_time_s`].
-pub fn predicted_batch_solve_time_s(
-    a: &CsrMatrix,
-    design: &AcceleratorDesign,
-    columns: usize,
-) -> Result<f64, SolverError> {
-    Ok(amortized_solve_time_s(
-        predicted_solve_time_s(a, design)?,
-        columns,
-    ))
-}
-
-/// Amortizes a sequential settle-time estimate over a `columns`-wide
-/// coalesced sweep: `estimate / max(columns, 1)`.
-///
-/// This is the **single** batch-amortization rule — admission control,
-/// drain hints, and [`predicted_batch_solve_time_s`] all route through it,
-/// so the fleet's deadline arithmetic can never drift from the estimator's.
+/// This is the **single** batch-amortization rule — admission control and
+/// drain hints both route through it, so the fleet's deadline arithmetic
+/// can never drift from the estimator's.
 pub fn amortized_solve_time_s(estimate_s: f64, columns: usize) -> f64 {
     estimate_s / columns.max(1) as f64
 }
@@ -142,12 +123,12 @@ mod tests {
         let design = AcceleratorDesign::prototype_20khz();
         let single = predicted_solve_time_s(&a, &design).unwrap();
         for k in [1usize, 4, 16] {
-            let batched = predicted_batch_solve_time_s(&a, &design, k).unwrap();
+            let batched = amortized_solve_time_s(predicted_solve_time_s(&a, &design).unwrap(), k);
             assert_eq!(batched, single / k as f64);
         }
         // Degenerate width is floored at the sequential estimate.
         assert_eq!(
-            predicted_batch_solve_time_s(&a, &design, 0).unwrap(),
+            amortized_solve_time_s(predicted_solve_time_s(&a, &design).unwrap(), 0),
             single
         );
     }

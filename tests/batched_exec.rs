@@ -144,19 +144,23 @@ fn bindings_for(chip: &AnalogChip, raw: &[RawLane]) -> Vec<LaneBindings> {
 /// The tentpole's differential guarantee: every column of a batched run is
 /// bit-identical to a sequential run of that lane — reports, exception
 /// latches, ADC inputs, waveforms, everything — under both evaluator
-/// strategies, with and without active fault plans.
+/// strategies, with and without active fault plans. The cases walk every
+/// combination of lane count (each monomorphized sweep width, the one-lane
+/// arm included, plus an odd runtime width), strategy, and fault plan once,
+/// on random netlists.
 #[test]
 fn batched_exec_is_bit_identical_per_column() {
+    const WIDTHS: [usize; 6] = [1, 2, 3, 4, 8, 16];
     let mut rng = Rng64::seed_from_u64(0xba7c4);
     let mut compared = 0;
     let mut attempts = 0;
-    while compared < 12 {
+    while compared < 4 * WIDTHS.len() {
         attempts += 1;
         assert!(attempts < 200, "too few valid random netlists");
         let case_seed = rng.next_u64();
-        let with_faults = rng.flip();
-        let k = 2 + rng.below(3);
-        let strategy = if rng.flip() {
+        let k = WIDTHS[compared % WIDTHS.len()];
+        let with_faults = (compared / WIDTHS.len()) % 2 == 1;
+        let strategy = if compared < 2 * WIDTHS.len() {
             EvalStrategy::Compiled
         } else {
             EvalStrategy::Reference

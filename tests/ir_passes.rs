@@ -112,8 +112,8 @@ fn opts(passes: PassConfig) -> EngineOptions {
 }
 
 /// The unoptimized tape dump: the `PassConfig::none()` baseline every
-/// optimized snapshot below diffs against. No `seg` markers, no `pass`
-/// statistics lines — a plain linear tape.
+/// optimized snapshot below diffs against. The same scheduled tape every
+/// compiled run executes, with no `pass` statistics lines.
 #[test]
 fn unoptimized_tape_snapshot() {
     assert_eq!(
@@ -121,8 +121,11 @@ fn unoptimized_tape_snapshot() {
         "plan fs=1 states=1 stores=6\n\
          src int u=int0 -> s0\n\
          src dac u=dac0 -> s5\n\
+         seg fanout (1)\n\
          op fanout u=fan0 in=[s0] -> s2..s3 (2)\n\
+         seg mul.gain (1)\n\
          op mul.gain u=mul0 g=-1 in=[s3] -> s1\n\
+         seg sink (1)\n\
          op sink in=[s2] -> s4\n\
          deriv state0 in=[s1 s5]\n"
     );
@@ -187,6 +190,7 @@ fn fuse_gain_chains_snapshot() {
         chip.dump_plan(&PassConfig::none()).unwrap(),
         "plan fs=1 states=1 stores=3\n\
          src int u=int0 -> s0\n\
+         seg mul.gain (2)\n\
          op mul.gain u=mul0 g=0.8 in=[s0] -> s1\n\
          op mul.gain u=mul1 g=-0.5 in=[s1] -> s2\n\
          deriv state0 in=[s2]\n"
