@@ -70,8 +70,8 @@ pub struct EngineOptions {
     pub eval_strategy: EvalStrategy,
     /// Optimization passes applied when lowering the committed netlist into
     /// the [`EvalStrategy::Compiled`] tape ([`crate::passes`]). The
-    /// default, [`PassConfig::none`], lowers the bit-exact tape; any
-    /// enabled pass optimizes it under the documented tolerance contract.
+    /// default, [`PassConfig::full`], optimizes it under the documented
+    /// tolerance contract; [`PassConfig::none`] lowers the bit-exact tape.
     /// Runs with an armed fault plan always lower under
     /// [`PassConfig::none`], whatever this is set to.
     pub passes: PassConfig,
@@ -86,7 +86,7 @@ impl Default for EngineOptions {
             waveform_samples: 256,
             stop_on_exception: false,
             eval_strategy: EvalStrategy::default(),
-            passes: PassConfig::none(),
+            passes: PassConfig::full(),
         }
     }
 }
@@ -197,6 +197,53 @@ pub(crate) struct Tracker {
     pub(crate) values: Vec<f64>,
     pub(crate) max_abs: Vec<f64>,
     pub(crate) clipped: Vec<bool>,
+    /// Per-lane latch, set wherever one of the lane's `clipped` entries
+    /// is: the exception stop reads it instead of scanning every slot.
+    pub(crate) any_clipped: Vec<bool>,
+}
+
+impl Tracker {
+    fn new(n_slots: usize, k: usize) -> Self {
+        Tracker {
+            values: vec![0.0; n_slots * k],
+            max_abs: vec![0.0; n_slots * k],
+            clipped: vec![false; n_slots * k],
+            any_clipped: vec![false; k],
+        }
+    }
+
+    /// Clips `value` to full scale `fs`. When `track` is set, records it
+    /// at lane-expanded index `idx` of `lane`: its magnitude into range
+    /// usage, and a clip event when it exceeds full scale.
+    #[inline]
+    pub(crate) fn clip(
+        &mut self,
+        value: f64,
+        idx: usize,
+        lane: usize,
+        fs: f64,
+        track: bool,
+    ) -> f64 {
+        if track {
+            let mag = value.abs();
+            if mag > self.max_abs[idx] {
+                self.max_abs[idx] = mag;
+            }
+            if mag > fs {
+                self.clipped[idx] = true;
+                self.any_clipped[lane] = true;
+            }
+        }
+        value.clamp(-fs, fs)
+    }
+
+    /// Latches an integrator pinned at (or clamped to) a rail: a clip
+    /// event, with range usage just past full scale.
+    fn latch_rail(&mut self, idx: usize, lane: usize, fs: f64) {
+        self.clipped[idx] = true;
+        self.any_clipped[lane] = true;
+        self.max_abs[idx] = self.max_abs[idx].max(fs * 1.0000001);
+    }
 }
 
 /// Per-lane register overrides for one lane of a batched execution —
@@ -231,7 +278,9 @@ pub(crate) trait LaneEvaluator {
 
     /// Evaluates the circuit at time `t` for all active lanes. Retired
     /// lanes are skipped entirely — their tracker entries, derivatives,
-    /// and slot values stay frozen at their retirement step.
+    /// and slot values stay frozen at their retirement step. Sink slots
+    /// need only be fresh after a `track`ed eval: no op reads them, so an
+    /// untracked eval may leave them stale.
     #[allow(clippy::too_many_arguments)]
     fn eval_lanes(
         &mut self,
@@ -374,54 +423,18 @@ impl Compiled<'_> {
         }
     }
 
-    /// Clips `value` to full scale, recording the event against `slot`.
-    fn clip(
-        &self,
-        value: f64,
-        slot: usize,
-        max_abs: &mut [f64],
-        clipped: &mut [bool],
-        track: bool,
-    ) -> f64 {
-        let fs = self.config.full_scale;
-        if track {
-            let mag = value.abs();
-            if mag > max_abs[slot] {
-                max_abs[slot] = mag;
-            }
-            if mag > fs {
-                clipped[slot] = true;
-            }
-        }
-        value.clamp(-fs, fs)
-    }
-
     /// Evaluates the circuit at time `t` for integrator states `state`,
     /// writing state derivatives into `du`. When `track` is set, range usage
     /// and clip events are recorded (done once per step, on the k1 stage).
     fn eval(&self, t: f64, state: &[f64], du: &mut [f64], tracker: &mut Tracker, track: bool) {
         let fs = self.config.full_scale;
-        let Tracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
 
         // Sources: integrator outputs (their state, through imperfection).
         for (slot_state, &int_idx) in self.structure.integrator_of_state.iter().enumerate() {
             let unit = UnitId::Integrator(int_idx);
             let out = self.distort(unit, t, self.variation.of(unit).apply(state[slot_state]));
             let s = self.structure.slot_index[&Slot::Out(OutputPort::of(unit))];
-            values[s] = out.clamp(-fs, fs);
-            if track {
-                let mag = out.abs();
-                if mag > max_abs[s] {
-                    max_abs[s] = mag;
-                }
-                if mag > fs {
-                    clipped[s] = true;
-                }
-            }
+            tracker.values[s] = tracker.clip(out, s, 0, fs, track);
         }
         // Sources: DAC constants.
         for &i in &self.structure.dacs {
@@ -429,7 +442,7 @@ impl Compiled<'_> {
             let programmed = self.registers.dac_values.get(&i).copied().unwrap_or(0.0);
             let out = self.distort(unit, t, self.variation.of(unit).apply(programmed));
             let s = self.slot(OutputPort::of(unit));
-            values[s] = self.clip(out, s, max_abs, clipped, track);
+            tracker.values[s] = tracker.clip(out, s, 0, fs, track);
         }
         // Sources: external analog inputs.
         for &i in &self.structure.analog_inputs {
@@ -447,37 +460,37 @@ impl Compiled<'_> {
             };
             let out = self.distort(unit, t, raw);
             let s = self.slot(OutputPort::of(unit));
-            values[s] = self.clip(out, s, max_abs, clipped, track);
+            tracker.values[s] = tracker.clip(out, s, 0, fs, track);
         }
 
         // Memoryless units in dependency order.
         for &unit in &self.structure.topo {
             match unit {
                 UnitId::Multiplier(i) => {
-                    let in0 = self.input_sum(InputPort { unit, port: 0 }, values);
+                    let in0 = self.input_sum(InputPort { unit, port: 0 }, &tracker.values);
                     let ideal = match self.registers.mul_gains.get(&i) {
                         Some(gain) => gain * in0,
                         None => {
-                            let in1 = self.input_sum(InputPort { unit, port: 1 }, values);
+                            let in1 = self.input_sum(InputPort { unit, port: 1 }, &tracker.values);
                             in0 * in1 / fs
                         }
                     };
                     let out = self.distort(unit, t, self.variation.of(unit).apply(ideal));
                     let s = self.slot(OutputPort::of(unit));
-                    values[s] = self.clip(out, s, max_abs, clipped, track);
+                    tracker.values[s] = tracker.clip(out, s, 0, fs, track);
                 }
                 UnitId::Fanout(_) => {
-                    let input = self.input_sum(InputPort::of(unit), values);
+                    let input = self.input_sum(InputPort::of(unit), &tracker.values);
                     let imp = self.variation.of(unit);
                     let out = self.distort(unit, t, imp.apply(input));
                     let n_branches = self.config.inventory.fanout_branches;
                     for port in 0..n_branches {
                         let s = self.slot(OutputPort { unit, port });
-                        values[s] = self.clip(out, s, max_abs, clipped, track);
+                        tracker.values[s] = tracker.clip(out, s, 0, fs, track);
                     }
                 }
                 UnitId::Lut(i) => {
-                    let input = self.input_sum(InputPort::of(unit), values);
+                    let input = self.input_sum(InputPort::of(unit), &tracker.values);
                     let lut = self
                         .registers
                         .luts
@@ -487,12 +500,12 @@ impl Compiled<'_> {
                     // gain/offset imperfection, but inherently quantized.
                     let out = self.distort(unit, t, lut.evaluate(input));
                     let s = self.slot(OutputPort::of(unit));
-                    values[s] = self.clip(out, s, max_abs, clipped, track);
+                    tracker.values[s] = tracker.clip(out, s, 0, fs, track);
                 }
                 UnitId::Adc(_) | UnitId::AnalogOutput(_) => {
-                    let input = self.input_sum(InputPort::of(unit), values);
+                    let input = self.input_sum(InputPort::of(unit), &tracker.values);
                     let s = self.sink_slot(unit);
-                    values[s] = self.clip(input, s, max_abs, clipped, track);
+                    tracker.values[s] = tracker.clip(input, s, 0, fs, track);
                 }
                 UnitId::Integrator(_) | UnitId::Dac(_) | UnitId::AnalogInput(_) => {
                     unreachable!("stateful/source units are not in the memoryless order")
@@ -504,7 +517,7 @@ impl Compiled<'_> {
         let omega = self.config.omega();
         for (slot_state, &int_idx) in self.structure.integrator_of_state.iter().enumerate() {
             let unit = UnitId::Integrator(int_idx);
-            let input = self.input_sum(InputPort::of(unit), values);
+            let input = self.input_sum(InputPort::of(unit), &tracker.values);
             du[slot_state] = omega * input;
         }
     }
@@ -518,12 +531,14 @@ pub struct PlanStats {
     /// Netlist skeletons built ([`Structure`] compilations).
     pub structures_built: u64,
     /// Bit-exact tapes lowered under [`PassConfig::none`] (only on the
-    /// [`EvalStrategy::Compiled`] path).
+    /// [`EvalStrategy::Compiled`] path): runs that ask for no passes, and
+    /// every fault-armed run.
     pub plans_lowered: u64,
     /// Runs that reused a cached structure without recompiling.
     pub cache_hits: u64,
     /// Pass-optimized tapes lowered (only when the run's effective pass
-    /// config enables at least one pass).
+    /// config enables at least one pass — under the default options, every
+    /// fault-free compiled lowering).
     pub optimized_lowered: u64,
     /// Stores per eval before the pass pipeline, from the most recent
     /// optimized lowering (zero while none has happened).
@@ -951,11 +966,7 @@ fn integrate<E: LaneEvaluator>(
     let cap_s = options.max_tau / omega;
     let end_s = timeout_s.map_or(cap_s, |t| t.min(cap_s));
 
-    let mut tracker = Tracker {
-        values: vec![0.0; n_slots * k],
-        max_abs: vec![0.0; n_slots * k],
-        clipped: vec![false; n_slots * k],
-    };
+    let mut tracker = Tracker::new(n_slots, k);
 
     let int_out_slots: Vec<usize> = circuit
         .structure
@@ -1018,9 +1029,7 @@ fn integrate<E: LaneEvaluator>(
                             continue;
                         }
                         state[slot_state * k + lane] = rail.sign() * fs;
-                        let idx = s * k + lane;
-                        tracker.clipped[idx] = true;
-                        tracker.max_abs[idx] = tracker.max_abs[idx].max(fs * 1.0000001);
+                        tracker.latch_rail(s * k + lane, lane, fs);
                     }
                 }
             }
@@ -1073,7 +1082,7 @@ fn integrate<E: LaneEvaluator>(
             if t >= end_s {
                 timed_out[lane] = timeout_s.is_some_and(|ts| t >= ts);
             }
-            if options.stop_on_exception && (0..n_slots).any(|s| tracker.clipped[s * k + lane]) {
+            if options.stop_on_exception && tracker.any_clipped[lane] {
                 aborted_on_exception[lane] = true;
             }
             if reached_steady[lane] || aborted_on_exception[lane] || t >= end_s || n == 0 {
@@ -1158,9 +1167,7 @@ fn integrate<E: LaneEvaluator>(
                 let idx = slot_state * k + lane;
                 if state[idx].abs() > fs {
                     state[idx] = state[idx].clamp(-fs, fs);
-                    let tidx = s * k + lane;
-                    tracker.clipped[tidx] = true;
-                    tracker.max_abs[tidx] = tracker.max_abs[tidx].max(fs * 1.0000001);
+                    tracker.latch_rail(s * k + lane, lane, fs);
                 }
                 if !state[idx].is_finite() {
                     return Err(AnalogError::Engine(aa_ode::OdeError::Diverged {

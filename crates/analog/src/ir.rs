@@ -1176,29 +1176,6 @@ impl<'a> TapeRun<'a> {
         }
     }
 
-    /// Clips to full scale against the lane-expanded index.
-    #[inline]
-    fn clip(
-        &self,
-        value: f64,
-        idx: usize,
-        max_abs: &mut [f64],
-        clipped: &mut [bool],
-        track: bool,
-    ) -> f64 {
-        let fs = self.plan.full_scale;
-        if track {
-            let mag = value.abs();
-            if mag > max_abs[idx] {
-                max_abs[idx] = mag;
-            }
-            if mag > fs {
-                clipped[idx] = true;
-            }
-        }
-        value.clamp(-fs, fs)
-    }
-
     /// The branch-free all-lanes-live evaluation over the scheduled tape:
     /// per op, the operand sums are swept into a lane-wide accumulator
     /// first ([`sum_into`]), then one contiguous lane loop applies the op's
@@ -1246,6 +1223,7 @@ impl<'a> TapeRun<'a> {
             values,
             max_abs,
             clipped,
+            any_clipped,
         } = tracker;
 
         // Maps `$src` (a lane-wide slice) through `$v` into the output
@@ -1261,6 +1239,7 @@ impl<'a> TapeRun<'a> {
                 if track {
                     let mab = &mut max_abs[col..col + k];
                     let clp = &mut clipped[col..col + k];
+                    let any = &mut any_clipped[..k];
                     for lane in 0..k {
                         let $x = src[lane];
                         let v: f64 = $v;
@@ -1270,6 +1249,7 @@ impl<'a> TapeRun<'a> {
                         }
                         if mag > fs {
                             clp[lane] = true;
+                            any[lane] = true;
                         }
                         out[lane] = v.clamp(-fs, fs);
                     }
@@ -1360,6 +1340,10 @@ impl<'a> TapeRun<'a> {
                         ));
                     }
                 }
+                // Sink slots feed no op and are read only after a tracked
+                // eval (waveform samples, final ADC inputs), so the
+                // untracked k2–k4 stages skip them.
+                SegKind::Sink if !track => {}
                 SegKind::Sink => {
                     for op in &plan.sink[r] {
                         sum_into(plan, k, op.in0, values, acc0);
@@ -1402,12 +1386,6 @@ impl<'a> TapeRun<'a> {
         let plan = self.plan;
         let k = self.k;
         let fs = plan.full_scale;
-        let Tracker {
-            values,
-            max_abs,
-            clipped,
-        } = tracker;
-
         // Sources: integrator outputs (their state, through imperfection).
         for (slot_state, src) in plan.int_sources.iter().enumerate() {
             let s = src.out as usize;
@@ -1417,16 +1395,7 @@ impl<'a> TapeRun<'a> {
                 }
                 let out = self.distort(src.unit, t, src.imp.apply(state[slot_state * k + lane]));
                 let idx = s * k + lane;
-                values[idx] = out.clamp(-fs, fs);
-                if track {
-                    let mag = out.abs();
-                    if mag > max_abs[idx] {
-                        max_abs[idx] = mag;
-                    }
-                    if mag > fs {
-                        clipped[idx] = true;
-                    }
-                }
+                tracker.values[idx] = tracker.clip(out, idx, lane, fs, track);
             }
         }
         // Sources: non-folded DAC constants.
@@ -1442,7 +1411,7 @@ impl<'a> TapeRun<'a> {
                     src.imp.apply(self.dac_values[src_idx * k + lane]),
                 );
                 let idx = s * k + lane;
-                values[idx] = self.clip(out, idx, max_abs, clipped, track);
+                tracker.values[idx] = tracker.clip(out, idx, lane, fs, track);
             }
         }
         // Sources: external analog inputs (shared pure functions of time,
@@ -1456,7 +1425,7 @@ impl<'a> TapeRun<'a> {
                 }
                 let out = self.distort(src.unit, t, raw);
                 let idx = s * k + lane;
-                values[idx] = self.clip(out, idx, max_abs, clipped, track);
+                tracker.values[idx] = tracker.clip(out, idx, lane, fs, track);
             }
         }
 
@@ -1471,10 +1440,10 @@ impl<'a> TapeRun<'a> {
                             if !active[lane] {
                                 continue;
                             }
-                            let ideal = op.gain * self.sum(op.in0, values, lane);
+                            let ideal = op.gain * self.sum(op.in0, &tracker.values, lane);
                             let v = self.distort(op.unit, t, op.imp.apply(ideal));
                             let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                            tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                         }
                     }
                 }
@@ -1485,9 +1454,9 @@ impl<'a> TapeRun<'a> {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = op.a.mul_add(self.sum(op.in0, values, lane), op.b);
+                            let v = op.a.mul_add(self.sum(op.in0, &tracker.values, lane), op.b);
                             let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                            tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                         }
                     }
                 }
@@ -1498,12 +1467,12 @@ impl<'a> TapeRun<'a> {
                             if !active[lane] {
                                 continue;
                             }
-                            let ideal = self.sum(op.in0, values, lane)
-                                * self.sum(op.in1, values, lane)
+                            let ideal = self.sum(op.in0, &tracker.values, lane)
+                                * self.sum(op.in1, &tracker.values, lane)
                                 / fs;
                             let v = self.distort(op.unit, t, op.imp.apply(ideal));
                             let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                            tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                         }
                     }
                 }
@@ -1513,11 +1482,11 @@ impl<'a> TapeRun<'a> {
                             if !active[lane] {
                                 continue;
                             }
-                            let ideal = op.imp.apply(self.sum(op.in0, values, lane));
+                            let ideal = op.imp.apply(self.sum(op.in0, &tracker.values, lane));
                             let v = self.distort(op.unit, t, ideal);
                             for port in 0..op.branches {
                                 let idx = (op.out0 + port) as usize * k + lane;
-                                values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                                tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                             }
                         }
                     }
@@ -1529,13 +1498,15 @@ impl<'a> TapeRun<'a> {
                             if !active[lane] {
                                 continue;
                             }
-                            let raw = op.lut.evaluate(self.sum(op.in0, values, lane));
+                            let raw = op.lut.evaluate(self.sum(op.in0, &tracker.values, lane));
                             let v = self.distort(op.unit, t, raw);
                             let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                            tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                         }
                     }
                 }
+                // Skipped on untracked stages, as in the unmasked body.
+                SegKind::Sink if !track => {}
                 SegKind::Sink => {
                     for op in &plan.sink[r] {
                         let s = op.out as usize;
@@ -1543,9 +1514,9 @@ impl<'a> TapeRun<'a> {
                             if !active[lane] {
                                 continue;
                             }
-                            let v = self.sum(op.in0, values, lane);
+                            let v = self.sum(op.in0, &tracker.values, lane);
                             let idx = s * k + lane;
-                            values[idx] = self.clip(v, idx, max_abs, clipped, track);
+                            tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                         }
                     }
                 }
@@ -1558,7 +1529,7 @@ impl<'a> TapeRun<'a> {
                 if !active[lane] {
                     continue;
                 }
-                du[slot_state * k + lane] = plan.omega * self.sum(range, values, lane);
+                du[slot_state * k + lane] = plan.omega * self.sum(range, &tracker.values, lane);
             }
         }
     }
@@ -1600,16 +1571,7 @@ impl LaneEvaluator for TapeRun<'_> {
                 for lane in 0..k {
                     let v = self.const_vals[cidx * k + lane];
                     let idx = slot as usize * k + lane;
-                    if track {
-                        let mag = v.abs();
-                        if mag > tracker.max_abs[idx] {
-                            tracker.max_abs[idx] = mag;
-                        }
-                        if mag > fs {
-                            tracker.clipped[idx] = true;
-                        }
-                    }
-                    tracker.values[idx] = v.clamp(-fs, fs);
+                    tracker.values[idx] = tracker.clip(v, idx, lane, fs, track);
                 }
             }
         }

@@ -33,12 +33,20 @@
 //! Optimized tapes never run with an armed fault plan: the engine lowers
 //! fault-armed runs under `PassConfig::none()` so fault semantics stay
 //! bit-exact.
+//!
+//! **Default.** `EngineOptions::default()` asks for [`PassConfig::full`],
+//! so every fault-free compiled run — solver, fleet and Krylov callers
+//! included — sweeps the optimized tape. Callers that need the bit-exact
+//! tape (the differential tests, checkpoints taken under it) set
+//! `passes: PassConfig::none()` explicitly.
 
 use crate::ir::IrGraph;
 
 /// Which optimization passes run when lowering a committed netlist into
-/// the compiled tape. The default ([`PassConfig::none`]) disables them all,
-/// keeping every run on the bit-exact tape.
+/// the compiled tape. `PassConfig::default()` (= [`PassConfig::none`])
+/// disables them all; the engine's default options instead ask for
+/// [`PassConfig::full`], and fault-armed runs always lower under
+/// [`PassConfig::none`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassConfig {
     /// Fold fixed DAC inputs into constants computed once per run.
@@ -61,8 +69,8 @@ impl PassConfig {
         PassConfig::default()
     }
 
-    /// Every pass enabled — the configuration the `engine_ir` perf gate
-    /// measures.
+    /// Every pass enabled — what `EngineOptions::default()` asks for, and
+    /// the configuration the `engine_ir` perf gate measures.
     pub fn full() -> Self {
         PassConfig {
             fold_constants: true,

@@ -318,7 +318,7 @@ fn arbitrary_chip(rng: &mut Rng64) -> Option<aa_analog::AnalogChip> {
 /// [`EvalStrategy::Compiled`]: aa_analog::EvalStrategy::Compiled
 #[test]
 fn compiled_plan_is_bit_identical_to_reference_evaluator() {
-    use aa_analog::{EngineOptions, EvalStrategy};
+    use aa_analog::{EngineOptions, EvalStrategy, PassConfig};
     let mut rng = Rng64::seed_from_u64(0xd1ff);
     let mut compared = 0;
     let mut attempts = 0;
@@ -340,6 +340,7 @@ fn compiled_plan_is_bit_identical_to_reference_evaluator() {
                 steady_tol,
                 max_tau: 100.0,
                 eval_strategy: strategy,
+                passes: PassConfig::none(),
                 ..EngineOptions::default()
             };
             Some(chip.exec(&options).map_err(|e| e.to_string()))

@@ -910,10 +910,11 @@ mod tests {
         restored.import_state(&snap).unwrap();
         assert_eq!(restored.export_state(), snap);
 
-        // A default-pass supervisor refuses — and stays exactly as it was,
+        // A no-pass supervisor refuses — and stays exactly as it was,
         // including its own lifetime bookkeeping.
-        let mut plain =
-            SupervisedSolver::new(&a, &test_config(), &RecoveryConfig::default()).unwrap();
+        let mut plain_cfg = test_config();
+        plain_cfg.engine.passes = aa_analog::PassConfig::none();
+        let mut plain = SupervisedSolver::new(&a, &plain_cfg, &RecoveryConfig::default()).unwrap();
         let before = plain.export_state();
         assert!(matches!(
             plain.import_state(&snap),

@@ -794,9 +794,11 @@ mod tests {
         original.solve(&[0.4, -0.1, 0.3, 0.2]).unwrap();
         let snap = original.export_state();
 
-        // The restoring solver runs the default (no-pass) config: the
-        // import must refuse before mutating anything.
-        let mut plain = AnalogSystemSolver::new(&a, &SolverConfig::ideal()).unwrap();
+        // The restoring solver runs the no-pass config: the import must
+        // refuse before mutating anything.
+        let mut plain_cfg = SolverConfig::ideal();
+        plain_cfg.engine.passes = aa_analog::PassConfig::none();
+        let mut plain = AnalogSystemSolver::new(&a, &plain_cfg).unwrap();
         let before = plain.export_state();
         let err = plain.import_state(&snap).unwrap_err();
         assert!(

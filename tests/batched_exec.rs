@@ -15,7 +15,7 @@ use analog_accel::analog::netlist::{InputPort, OutputPort};
 use analog_accel::analog::units::UnitId;
 use analog_accel::analog::{
     AnalogChip, ChipConfig, EngineOptions, EvalStrategy, FaultEvent, FaultKind, FaultPlan,
-    LaneBindings, NonIdealityConfig,
+    LaneBindings, NonIdealityConfig, PassConfig,
 };
 use analog_accel::linalg::rng::Rng64;
 
@@ -407,5 +407,149 @@ fn supervised_batch_answers_every_column() {
     for idx in [0usize, 2] {
         let report = results[idx].as_ref().unwrap();
         assert_eq!(report.recovery.attempts.len(), 1, "column {idx}");
+    }
+}
+
+/// `int0 → fan0 → {aout0, mul0(gain) → int0}`, driven by `dac0`, with
+/// `dac1` as a second driver of `aout0` — so the sink sees `u + dac1`.
+fn abort_chip(gain: f64) -> AnalogChip {
+    let mut chip = AnalogChip::new(ChipConfig::ideal());
+    let (int0, fan0, mul0, aout0) = (
+        UnitId::Integrator(0),
+        UnitId::Fanout(0),
+        UnitId::Multiplier(0),
+        UnitId::AnalogOutput(0),
+    );
+    let branch = |port| OutputPort { unit: fan0, port };
+    for (from, to) in [
+        (OutputPort::of(int0), InputPort::of(fan0)),
+        (branch(0), InputPort::of(aout0)),
+        (branch(1), InputPort::of(mul0)),
+        (OutputPort::of(mul0), InputPort::of(int0)),
+        (OutputPort::of(UnitId::Dac(0)), InputPort::of(int0)),
+        (OutputPort::of(UnitId::Dac(1)), InputPort::of(aout0)),
+    ] {
+        chip.set_conn(from, to).unwrap();
+    }
+    chip.set_mul_gain(0, gain).unwrap();
+    chip.cfg_commit().unwrap();
+    chip
+}
+
+/// The per-lane exception stop fires on the first step a lane latches a
+/// clip, whichever evaluator runs it. Two circuits, at K ∈ {1, 3, 16}:
+/// growing integrators (`du/dt = u`) that hit the rail at steps set by
+/// their initial conditions, and a settling integrator (`du/dt = 0.6 − u`)
+/// whose only clipping unit is the analog-output sink `u + dac1`. Every
+/// lane clips at its own step, except that the last lane of a multi-lane
+/// batch never clips. Each column equals its sequential run under Compiled
+/// `none()`, Compiled `full()` and Reference, and each abort lands on the
+/// first step at which a non-stopping run's waveform shows the clip — the
+/// sink is evaluated only on tracked stages, and the abort is not late.
+#[test]
+fn exception_stop_fires_per_lane_on_the_first_clip() {
+    type Lane = (f64, f64, f64); // (dac0, dac1, initial u)
+    let never_clips = |k: usize, j: usize| k > 1 && j == k - 1;
+    let overflow = |k: usize| -> Vec<Lane> {
+        (0..k)
+            .map(|j| match never_clips(k, j) {
+                true => (0.0, 0.0, 1e-5),
+                false => (0.0, 0.0, 0.9 * 0.6f64.powi(j as i32)),
+            })
+            .collect()
+    };
+    let sink_only = |k: usize| -> Vec<Lane> {
+        (0..k)
+            .map(|j| match never_clips(k, j) {
+                true => (0.6, 0.2, 0.0),
+                false => (0.6, 0.95 - 0.03 * j as f64, 0.0),
+            })
+            .collect()
+    };
+    let configs = [
+        (EvalStrategy::Compiled, PassConfig::none()),
+        (EvalStrategy::Compiled, PassConfig::full()),
+        (EvalStrategy::Reference, PassConfig::none()),
+    ];
+    for (gain, lanes_of, clipping_unit) in [
+        (
+            1.0,
+            &overflow as &dyn Fn(usize) -> Vec<Lane>,
+            UnitId::Integrator(0),
+        ),
+        (-1.0, &sink_only, UnitId::AnalogOutput(0)),
+    ] {
+        for k in [1usize, 3, 16] {
+            let chip = abort_chip(gain);
+            let raw: Vec<Lane> = lanes_of(k)
+                .into_iter()
+                .map(|(d0, d1, u0)| (chip.quantize_dac(d0), chip.quantize_dac(d1), u0))
+                .collect();
+            let lanes: Vec<LaneBindings> = raw
+                .iter()
+                .map(|&(d0, d1, u0)| LaneBindings {
+                    dac_values: Some(BTreeMap::from([(0, d0), (1, d1)])),
+                    int_initial: Some(BTreeMap::from([(0, u0)])),
+                })
+                .collect();
+            let sequential = |(d0, d1, u0): Lane, options: &EngineOptions| {
+                let mut chip = abort_chip(gain);
+                chip.set_dac_constant(0, d0).unwrap();
+                chip.set_dac_constant(1, d1).unwrap();
+                chip.set_int_initial(0, u0).unwrap();
+                chip.cfg_commit().unwrap();
+                chip.exec(options).unwrap()
+            };
+            for (eval_strategy, passes) in configs {
+                let label = format!("gain {gain}, K = {k}, {eval_strategy:?}, {passes:?}");
+                let options = EngineOptions {
+                    stop_on_exception: true,
+                    max_tau: 10.0,
+                    waveform_samples: 10_000,
+                    eval_strategy,
+                    passes,
+                    ..EngineOptions::default()
+                };
+                let batch = abort_chip(gain).exec_batch(&lanes, &options).unwrap();
+                let mut abort_steps = Vec::new();
+                for (j, &lane) in raw.iter().enumerate() {
+                    let seq = sequential(lane, &options);
+                    assert_eq!(batch.reports[j], seq, "{label}, lane {j}");
+                    // Where a run that never stops first shows the clip.
+                    let full_run = sequential(
+                        lane,
+                        &EngineOptions {
+                            stop_on_exception: false,
+                            ..options.clone()
+                        },
+                    );
+                    let first_clip = full_run.output_waveforms[&0]
+                        .iter()
+                        .position(|&(_, v)| v.abs() >= 1.0);
+                    let never = never_clips(k, j);
+                    assert_eq!(first_clip.is_none(), never, "{label}, lane {j}");
+                    assert_eq!(seq.aborted_on_exception, !never, "{label}, lane {j}");
+                    if let Some(step) = first_clip {
+                        assert_eq!(seq.steps, step, "{label}, lane {j}: abort step");
+                        assert!(
+                            seq.exceptions.is_latched(clipping_unit),
+                            "{label}, lane {j}"
+                        );
+                        if clipping_unit == UnitId::AnalogOutput(0) {
+                            let latched: Vec<UnitId> = seq.exceptions.iter().collect();
+                            assert_eq!(latched, [clipping_unit], "{label}, lane {j}");
+                        }
+                        abort_steps.push(step);
+                    } else {
+                        assert!(seq.exceptions.is_empty(), "{label}, lane {j}");
+                    }
+                }
+                abort_steps.dedup();
+                assert!(
+                    k == 1 || abort_steps.len() > 1,
+                    "{label}: lanes must abort at different steps"
+                );
+            }
+        }
     }
 }

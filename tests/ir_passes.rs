@@ -419,17 +419,108 @@ fn optimized_exec_matches_reference_and_reports_stats() {
     assert_eq!(chip.plan_stats().optimized_lowered, 2);
 }
 
-/// `PassConfig::none()` never touches the optimized path: the run is
-/// bit-identical (whole-report `assert_eq`) to a default-options run and
-/// lowers no optimized plan.
+/// The default options run the full pass pipeline: a default fault-free
+/// run is bit-identical (whole-report `assert_eq`) to an explicit
+/// `PassConfig::full()` run and lowers one optimized tape, which the
+/// explicit run reuses. `PassConfig::none()` never touches the optimized
+/// path.
 #[test]
-fn none_config_is_bit_identical_to_default() {
+fn default_config_is_the_full_pipeline() {
+    assert_eq!(EngineOptions::default().passes, PassConfig::full());
     let mut chip = driven_chip();
     let baseline = chip.exec(&EngineOptions::default()).unwrap();
-    let none = chip.exec(&opts(PassConfig::none())).unwrap();
-    assert_eq!(baseline, none);
+    let full = chip.exec(&opts(PassConfig::full())).unwrap();
+    assert_eq!(baseline, full);
+    let stats = chip.plan_stats();
+    assert_eq!(stats.optimized_lowered, 1, "{stats:?}");
+    assert_eq!(stats.plans_lowered, 0, "{stats:?}");
+    assert_eq!(chip.pass_stats().len(), 5);
+
+    let mut chip = driven_chip();
+    chip.exec(&opts(PassConfig::none())).unwrap();
     assert_eq!(chip.plan_stats().optimized_lowered, 0);
+    assert_eq!(chip.plan_stats().plans_lowered, 1);
     assert!(chip.pass_stats().is_empty());
+}
+
+/// On one chip under the default options: a fault-free run lowers the
+/// optimized tape, arming a fault plan re-lowers the bit-exact `none()`
+/// tape (and matches the reference evaluator), and disarming goes back to
+/// the optimized tape with the fault-free answer.
+#[test]
+fn fault_plans_switch_the_default_tape() {
+    let drift = || {
+        FaultPlan::new(7).with_event(FaultEvent {
+            kind: FaultKind::GainDrift {
+                unit: UnitId::Multiplier(0),
+                magnitude: 0.05,
+                ramp_s: 0.0,
+            },
+            start_s: 0.0,
+            duration_s: None,
+        })
+    };
+    let lowered = |chip: &AnalogChip| {
+        let stats = chip.plan_stats();
+        (stats.optimized_lowered, stats.plans_lowered)
+    };
+    let options = EngineOptions::default();
+    let mut chip = driven_chip();
+    let clean = chip.exec(&options).unwrap();
+    assert_eq!(lowered(&chip), (1, 0), "one optimized tape");
+    assert_eq!(chip.exec(&options).unwrap(), clean);
+    assert_eq!(lowered(&chip), (1, 0), "a repeat run reuses it");
+
+    chip.inject_fault_plan(drift());
+    let faulted = chip.exec(&options).unwrap();
+    assert_eq!(lowered(&chip), (1, 1), "arming re-lowers none()");
+    assert!(chip.pass_stats().is_empty());
+    let mut oracle = driven_chip();
+    oracle.inject_fault_plan(drift());
+    let reference = oracle
+        .exec(&EngineOptions {
+            eval_strategy: EvalStrategy::Reference,
+            ..options.clone()
+        })
+        .unwrap();
+    assert_eq!(faulted, reference);
+    assert_ne!(faulted.integrator_values, clean.integrator_values);
+
+    chip.clear_fault_plan();
+    assert_eq!(chip.exec(&options).unwrap(), clean);
+    assert_eq!(lowered(&chip), (2, 1), "disarming re-lowers full()");
+    assert_eq!(chip.pass_stats().len(), 5);
+}
+
+/// A supervised solver built with the default config checkpoints the
+/// optimized tape: the checkpoint records `full()`, and the restored
+/// solver's first solve is a cache hit that answers exactly as the
+/// uninterrupted solver does.
+#[test]
+fn default_config_supervisor_checkpoint_round_trips() {
+    let a = CsrMatrix::tridiagonal(4, -1.0, 2.0, -1.0).unwrap();
+    let b = [0.4, 0.2, 0.3, 0.5];
+    let (cfg, recovery) = (SolverConfig::ideal(), RecoveryConfig::default());
+    let mut original = SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
+    original.solve(&b).unwrap();
+    let snap = original.export_state();
+    assert_eq!(snap.solver.passes, PassConfig::full());
+    assert_eq!(snap.solver.chip.optimized_passes, Some(PassConfig::full()));
+
+    let mut restored = SupervisedSolver::new(&a, &cfg, &recovery).unwrap();
+    restored.import_state(&snap).unwrap();
+    let at_restore = restored.plan_stats();
+    let from_restored = restored.solve(&b).unwrap();
+    let from_original = original.solve(&b).unwrap();
+    assert_eq!(from_restored.solution, from_original.solution);
+    let stats = restored.plan_stats();
+    assert_eq!(stats, original.plan_stats());
+    assert!(stats.cache_hits > at_restore.cache_hits, "{stats:?}");
+    assert_eq!(
+        (stats.optimized_lowered, stats.plans_lowered),
+        (at_restore.optimized_lowered, at_restore.plans_lowered),
+        "no lowering after restore: {stats:?}"
+    );
 }
 
 /// An armed fault plan forces the unoptimized tape (fault semantics stay

@@ -381,17 +381,21 @@ fn optimized_plans_match_reference_on_random_netlists() {
     assert!(skipped <= 8, "{skipped} of 64 draws latched exceptions");
 }
 
-/// `PassConfig::none()` is bit-identical to the default options on every
-/// random netlist — whole-`RunReport` equality, sequential and through
-/// `exec_batch` lanes — and optimized batch lanes obey the same tolerance
-/// contract lane by lane.
+/// `PassConfig::none()` is bit-identical to the reference evaluator on
+/// every random netlist — whole-`RunReport` equality, sequential and
+/// through `exec_batch` lanes — and optimized batch lanes obey the
+/// tolerance contract lane by lane.
 #[test]
 fn none_config_stays_bit_identical_on_random_netlists() {
+    let reference = EngineOptions {
+        eval_strategy: EvalStrategy::Reference,
+        ..base()
+    };
     for case in 0..64u64 {
         let seed = 0xB17E_0000 + case;
         let mut rng = Rng64::seed_from_u64(!seed);
         let mut a = random_circuit(seed);
-        let baseline = a.chip.exec(&base()).unwrap();
+        let baseline = a.chip.exec(&reference).unwrap();
         let mut b = random_circuit(seed);
         let via_none = b.chip.exec(&engine(PassConfig::none())).unwrap();
         assert_eq!(baseline, via_none, "case {case}: sequential");
@@ -420,13 +424,13 @@ fn none_config_stays_bit_identical_on_random_netlists() {
             })
             .collect();
         let mut a = random_circuit(seed);
-        let batch_default = a.chip.exec_batch(&lanes, &base()).unwrap();
+        let batch_reference = a.chip.exec_batch(&lanes, &reference).unwrap();
         let mut b = random_circuit(seed);
         let batch_none = b
             .chip
             .exec_batch(&lanes, &engine(PassConfig::none()))
             .unwrap();
-        assert_eq!(batch_default, batch_none, "case {case}: batched");
+        assert_eq!(batch_reference, batch_none, "case {case}: batched");
 
         let mut o = random_circuit(seed);
         let batch_opt = o
@@ -436,7 +440,7 @@ fn none_config_stays_bit_identical_on_random_netlists() {
         for (lane, (ro, rr)) in batch_opt
             .reports
             .iter()
-            .zip(&batch_default.reports)
+            .zip(&batch_reference.reports)
             .enumerate()
         {
             if rr.exceptions.any() {
